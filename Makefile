@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check build test race bench bench-save fuzz lint profile
+.PHONY: check build test race bench fuzz lint profile
 
 check: build race test lint
 	$(GO) vet ./...
@@ -13,11 +13,11 @@ check: build race test lint
 build:
 	$(GO) build ./...
 
-# Determinism and simulation-safety analysis (internal/lint), nine
+# Determinism and simulation-safety analysis (internal/lint), seven
 # checks: the per-package wallclock, unseededrand, maporder, rawconc,
-# and fingerprint, plus the call-graph-aware callpath, shardsafe,
-# serialonly, and intmath. Zero diagnostics — including stale
-# //lint:allow comments — is the bar. See DESIGN.md §10.
+# fingerprint, and intmath, plus the call-graph-aware callpath. Zero
+# diagnostics — including stale //lint:allow comments — is the bar.
+# See DESIGN.md §10.
 # The second invocation self-lints the analyzer and its CLI explicitly
 # (the pattern set must be import-closed, which these two trees are).
 lint:
@@ -29,9 +29,8 @@ test:
 
 # The parallel runner and the event engine are the only concurrent code;
 # certify them under the race detector on every check. The suite runs
-# real tiny-scale simulations (sharded-equivalence at three worker
-# counts, predicted-sweep validation batches) and exceeds go test's
-# 10-minute default under -race.
+# real tiny-scale simulations (parallel-vs-serial sweeps, predicted-sweep
+# validation batches) and exceeds go test's 10-minute default under -race.
 race:
 	$(GO) test -race -timeout 25m ./internal/core/... ./internal/sim/...
 
@@ -58,11 +57,3 @@ profile:
 bench:
 	$(GO) test -bench 'BenchmarkEngine|BenchmarkThreadHandoff' -benchmem -run xxx ./internal/sim/
 	$(GO) test -bench 'BenchmarkClockSweep|BenchmarkContextSwitchSweepMemoized' -benchtime 3x -run xxx ./internal/core/
-
-# bench-save runs the bench suite plus the serial-vs-sharded engine
-# benchmark (cmd/benchengine) and records the engine results in the
-# tracked BENCH_engine.json trajectory. Wall times are host-dependent;
-# the JSON carries the host's core budget alongside each point.
-bench-save: bench
-	$(GO) run ./cmd/benchengine -o BENCH_engine.json
-	@echo "engine benchmark written: BENCH_engine.json"

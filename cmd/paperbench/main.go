@@ -39,13 +39,7 @@ func main() {
 		"near-crossover points of each sweep instead of validating the whole grid")
 	predictErr := flag.Float64("predicterr", 0, "with -predict: exit nonzero if the worst "+
 		"predicted-vs-simulated error over all validated points exceeds this percentage (0 = report only)")
-	jobs := flag.Int("j", 0, "parallel simulation workers (0 = all cores, 1 = serial); "+
-		"with sharded runs the per-worker budget is jobs/shards so cores are never oversubscribed")
-	shards := flag.Int("shards", 0, "per-run engine shards: 0 = auto (tiled engine with "+
-		strconv.Itoa(machine.AutoShardWorkers)+" workers at "+strconv.Itoa(machine.AutoShardNodes)+"+ nodes), "+
-		"-1 = force the serial engine, N = force the tiled engine with N workers; "+
-		"configs the tiled engine cannot run (cross-traffic, ideal network, jitter faults, "+
-		"stochastic noise) fall back to serial — observability capture is shard-safe")
+	jobs := flag.Int("j", 0, "parallel simulation workers (0 = all cores, 1 = serial)")
 	faults := flag.String("faults", "", "deterministic fault injection spec, e.g. "+
 		"'jitter:max=200ns,prob=0.1;outage:node=*,start=10us,dur=2us,every=50us' (robustness studies)")
 	seed := flag.Uint64("seed", 1, "fault schedule seed (used with -faults)")
@@ -112,23 +106,14 @@ func main() {
 	}
 	cfg.FaultSpec = *faults
 	cfg.FaultSeed = *seed
-	cfg.Shards = *shards
 	cfg.CritPath = *critpath
 
 	if *list {
 		figures.PrintCatalog(os.Stdout)
-		if n := cfg.EffectiveShards(); n > 0 {
-			fmt.Printf("\nengine: tiled (%dx%d mesh in %d row-band tiles, %d workers, lookahead %v)\n",
-				cfg.Width, cfg.Height, cfg.TileCount(), n, cfg.HopLatency)
-		} else {
-			fmt.Printf("\nengine: serial (%dx%d mesh; the tiled engine auto-selects at %d+ nodes, or force it with -shards N)\n",
-				cfg.Width, cfg.Height, machine.AutoShardNodes)
-		}
 		return
 	}
 
-	// Split the core budget between sweep workers and per-run shards.
-	core.SetDefaultWorkers(core.BudgetWorkers(*jobs, cfg.EffectiveShards()))
+	core.SetDefaultWorkers(*jobs)
 
 	// Profiling hooks. finishProfiles runs before every exit path that
 	// matters (success and sweep failure); log.Fatal paths lose the

@@ -141,22 +141,12 @@ type System struct {
 	par      Params
 	handlers []Handler
 	nis      []*ni
-	// evs is per-node message accounting; each slot is only written from
-	// its node's engine context, so tiled runs count lock-free. Events
-	// sums across nodes.
-	evs []stats.Events
-	// engOf, when non-nil, maps a node to its tile engine (tiled runs);
-	// nil means every node shares eng. See SetTileEngines.
-	engOf func(node int) *sim.Engine
+	ev       stats.Events
 
 	// outFree[n] is node n's injection backlog horizon.
 	outFree []sim.Time
 
-	// trOf, when non-nil, routes trace events to the recording node's
-	// buffer (the sender for send events, the receiver for receive
-	// events). Serial runs route every node to one shared buffer; tiled
-	// runs hand out per-tile buffers so recording stays single-writer.
-	trOf func(node int) *trace.Buffer
+	tr *trace.Buffer // optional event trace
 
 	// fault, when non-nil, injects endpoint drain stalls (the NI refuses
 	// deliveries during a stall window, exercising the mesh retry path).
@@ -210,26 +200,12 @@ type DrainStaller interface {
 // fault-free build.
 func (s *System) SetFaultInjector(fi DrainStaller) { s.fault = fi }
 
-// SetTrace attaches an event trace buffer shared by all nodes (nil
-// disables tracing). Serial engine only — for tiled runs use
-// SetTraceShards.
-func (s *System) SetTrace(tr *trace.Buffer) {
-	if tr == nil {
-		s.trOf = nil
-		return
-	}
-	s.trOf = func(int) *trace.Buffer { return tr }
-}
-
-// SetTraceShards attaches a per-node trace routing function; under the
-// tiled engine it must return the recording node's own tile buffer so
-// every buffer keeps a single writer.
-func (s *System) SetTraceShards(trOf func(node int) *trace.Buffer) { s.trOf = trOf }
+// SetTrace attaches an event trace buffer (nil disables tracing).
+func (s *System) SetTrace(tr *trace.Buffer) { s.tr = tr }
 
 // NewSystem creates the message layer for every node of net.
 func NewSystem(eng *sim.Engine, net *mesh.Network, clk sim.Clock, par Params) *System {
 	s := &System{eng: eng, net: net, clk: clk, par: par}
-	s.evs = make([]stats.Events, net.Nodes())
 	s.nis = make([]*ni, net.Nodes())
 	for i := range s.nis {
 		s.nis[i] = &ni{}
@@ -241,32 +217,8 @@ func NewSystem(eng *sim.Engine, net *mesh.Network, clk sim.Clock, par Params) *S
 // Params returns the message-layer parameters.
 func (s *System) Params() Params { return s.par }
 
-// SetTileEngines routes per-node work to tile engines: everything the
-// message layer schedules on behalf of node n goes to engOf(n). The
-// serial engine passed to NewSystem remains the default when engOf is
-// nil. Cross-node messages travel the mesh, whose banded walk performs
-// the engine handoff, so arrivals and handler dispatch always run in
-// the destination node's context.
-func (s *System) SetTileEngines(engOf func(node int) *sim.Engine) {
-	s.engOf = engOf
-}
-
-// engAt returns the engine that executes node's events.
-func (s *System) engAt(node int) *sim.Engine {
-	if s.engOf != nil {
-		return s.engOf(node)
-	}
-	return s.eng
-}
-
 // Events returns accumulated message counters.
-func (s *System) Events() stats.Events {
-	var ev stats.Events
-	for i := range s.evs {
-		ev = ev.Plus(s.evs[i])
-	}
-	return ev
-}
+func (s *System) Events() stats.Events { return s.ev }
 
 // Register installs a handler and returns its id. Handlers must be
 // registered identically on all nodes (the table is machine-wide, which
@@ -316,7 +268,7 @@ func (s *System) stallIfBacklogged(th *sim.Thread, node int, bd *stats.Breakdown
 	limit := s.clk.Cycles(s.par.OutQueueLimit)
 	now := th.Now()
 	if s.outFree[node] > now+limit {
-		s.evs[node].NIQueueFullStall++
+		s.ev.NIQueueFullStall++
 		wait := s.outFree[node] - limit - now
 		bd.Add(stats.BucketMemWait, wait)
 		th.Sleep(wait)
@@ -325,29 +277,29 @@ func (s *System) stallIfBacklogged(th *sim.Thread, node int, bd *stats.Breakdown
 
 // inject places the message on the wire (or loops it back locally).
 func (s *System) inject(src, dst int, h HandlerID, args []int64, vals []float64, bulk bool, extraHdr int) {
-	s.evs[src].MessagesSent++
+	s.ev.MessagesSent++
 	if s.mSend != nil {
 		s.mSend[src].Inc()
-		back := s.outFree[src] - s.engAt(src).Now()
+		back := s.outFree[src] - s.eng.Now()
 		if back < 0 {
 			back = 0
 		}
 		s.mOutBack[src].Observe(s.clk.ToCycles(back))
 	}
-	if s.trOf != nil {
+	if s.tr != nil {
 		k := trace.KMsgSend
 		if bulk {
 			k = trace.KBulk
 		}
-		s.trOf(src).Add(trace.Event{At: s.engAt(src).Now(), Node: src, Kind: k,
+		s.tr.Add(trace.Event{At: s.eng.Now(), Node: src, Kind: k,
 			A: int64(dst), B: int64(s.par.ValBytes * len(vals))})
 	}
 	if bulk {
-		s.evs[src].BulkTransfers++
-		s.evs[src].BulkBytes += int64(s.par.ValBytes * len(vals))
+		s.ev.BulkTransfers++
+		s.ev.BulkBytes += int64(s.par.ValBytes * len(vals))
 	}
 	// Copy payloads: applications commonly reuse gather buffers.
-	m := &msg{src: src, handler: h, bulk: bulk, sent: s.engAt(src).Now()}
+	m := &msg{src: src, handler: h, bulk: bulk, sent: s.eng.Now()}
 	m.args = append([]int64(nil), args...)
 	m.vals = append([]float64(nil), vals...)
 
@@ -362,7 +314,7 @@ func (s *System) inject(src, dst int, h HandlerID, args []int64, vals []float64,
 
 	if src == dst {
 		// Loopback through the NI without entering the mesh.
-		s.engAt(src).After(s.clk.Cycles(2), func() { s.arrive(dst, m) })
+		s.eng.After(s.clk.Cycles(2), func() { s.arrive(dst, m) })
 		return
 	}
 	depart := s.net.Send(&mesh.Packet{
@@ -482,11 +434,11 @@ func (s *System) ClearNotify(node int) { s.nis[node].notify = nil }
 // poll cost and dispatches every queued message with the cheap polled
 // per-message overhead. It returns the number of messages handled.
 func (s *System) Poll(th *sim.Thread, node int, bd *stats.Breakdown) int {
-	s.evs[node].Polls++
+	s.ev.Polls++
 	s.charge(th, bd, s.par.PollCycles)
 	n := s.drain(th, node, bd, s.par.PollPerMsgCycles)
 	if n > 0 {
-		s.evs[node].PollHits++
+		s.ev.PollHits++
 	}
 	return n
 }
@@ -499,7 +451,7 @@ func (s *System) DrainInterrupts(th *sim.Thread, node int, bd *stats.Breakdown) 
 	if !s.HasPending(node) {
 		return 0
 	}
-	s.evs[node].Interrupts++
+	s.ev.Interrupts++
 	s.charge(th, bd, s.par.InterruptEntryCycles)
 	return s.drain(th, node, bd, s.par.InterruptPerMsgCycles)
 }
@@ -513,12 +465,12 @@ func (s *System) drain(th *sim.Thread, node int, bd *stats.Breakdown, perMsg int
 		m := ni.q[0]
 		ni.q = ni.q[1:]
 		n++
-		s.evs[node].MessagesRecv++
+		s.ev.MessagesRecv++
 		if s.mRecv != nil {
 			s.mRecv[node].Inc()
 		}
-		if s.trOf != nil {
-			s.trOf(node).Add(trace.Event{At: s.engAt(node).Now(), Node: node, Kind: trace.KMsgRecv, A: int64(m.src)})
+		if s.tr != nil {
+			s.tr.Add(trace.Event{At: s.eng.Now(), Node: node, Kind: trace.KMsgRecv, A: int64(m.src)})
 		}
 		cost := perMsg
 		if m.bulk {

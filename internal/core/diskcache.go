@@ -12,7 +12,7 @@ import (
 // diskCacheSchema versions the on-disk entry layout. Bump it whenever
 // the serialized result shape or the meaning of any RunConfig field
 // changes: entries with a different schema are ignored, never trusted.
-const diskCacheSchema = 5 // 5: Config gained CritEdgeCap (4: Result gained SerialReason + CritPath; Config gained CritPath)
+const diskCacheSchema = 6 // 6: the windowed engine's Config knob and Result fields were removed (5: Config gained CritEdgeCap; 4: Result gained an engine-fallback field + CritPath; Config gained CritPath)
 
 // DiskCache persists completed run results across processes, extending
 // the Runner's in-memory single-flight memoization. Entries are keyed

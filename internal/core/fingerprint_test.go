@@ -37,14 +37,6 @@ func TestFingerprintCoversAllFields(t *testing.T) {
 		t.Fatalf("suspiciously few RunConfig leaf fields (%d); reflection walk broken?", len(leaves))
 	}
 	for _, leaf := range leaves {
-		if leaf.path == "Machine.Shards" {
-			// Fully normalized on this base: the cross-traffic and
-			// jitter-fault knobs force the serial engine at every Shards
-			// value, so aliasing them is correct. The field's semantic
-			// boundary — serial vs tiled — is covered by
-			// TestFingerprintShards.
-			continue
-		}
 		if leaf.path == "Machine.CritEdgeCap" {
 			// Fully normalized on this base (CritPath off makes the ring
 			// capacity inert); the CritPath-on boundary is covered by
@@ -57,30 +49,6 @@ func TestFingerprintCoversAllFields(t *testing.T) {
 		if fingerprint(mut) == key {
 			t.Errorf("perturbing RunConfig.%s does not change the fingerprint: distinct runs would alias one memo entry", leaf.path)
 		}
-	}
-}
-
-// TestFingerprintShards pins the Shards normalization: serial and tiled
-// runs of one config key apart (the engines order congested link
-// reservations differently), while worker counts within each engine
-// alias (the tiled result is identical at every worker count, and a
-// forced-serial run equals an auto-serial one).
-func TestFingerprintShards(t *testing.T) {
-	rc := RunConfig{App: EM3D, Scale: ScaleTiny}
-	rc.Machine = machine.DefaultConfig() // 8x4: tilable, below the auto threshold
-	serial := fingerprint(rc)
-	rc.Machine.Shards = 1
-	tiled := fingerprint(rc)
-	if serial == tiled {
-		t.Fatal("serial and tiled runs alias one memo entry")
-	}
-	rc.Machine.Shards = 4
-	if fingerprint(rc) != tiled {
-		t.Fatal("tiled worker counts key separately; identical results would simulate repeatedly")
-	}
-	rc.Machine.Shards = -1
-	if fingerprint(rc) != serial {
-		t.Fatal("forced-serial and auto-serial runs key separately")
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 	"repro/internal/predict"
 )
 
-// DefaultPredictEdgeCap is the per-tile edge-ring capacity predicted
+// DefaultPredictEdgeCap is the edge-ring capacity predicted
 // sweeps instrument their base runs with. Large enough to retain every
 // causal edge of the reduced-scale workloads (coverage 1.0), small
 // enough that one retained run is a few megabytes.
@@ -31,7 +31,7 @@ type PredictOptions struct {
 	// predicted mechanisms below which a point's verdict counts as
 	// ambiguous and is simulated under Prune (default 0.05).
 	CrossoverMargin float64
-	// EdgeCap overrides the instrumented base runs' per-tile edge-ring
+	// EdgeCap overrides the instrumented base runs' edge-ring
 	// capacity (default DefaultPredictEdgeCap).
 	EdgeCap int
 	// GrowthTarget is the runtime growth defining the latency-tolerance

@@ -139,33 +139,7 @@ func fingerprint(rc RunConfig) RunConfig {
 		// (the problem-growth factor is 1), so the flag is inert.
 		rc.ScaleProblem = false
 	}
-	if rc.Machine.Tiled() {
-		// The tiled engine's result is identical at every worker count, so
-		// every tiled Shards setting shares one cache key. The serial
-		// engine reserves congested links in a different order than the
-		// tiled one, so serial results key separately.
-		rc.Machine.Shards = 1
-	} else {
-		rc.Machine.Shards = -1
-	}
 	return rc
-}
-
-// BudgetWorkers splits the global core budget between sweep workers and
-// per-run engine shards so -j times -shards never oversubscribes: it
-// returns jobs/shards with a floor of one. jobs <= 0 means GOMAXPROCS;
-// shards below one (the serial engine) costs one core per run.
-func BudgetWorkers(jobs, shards int) int {
-	if jobs <= 0 {
-		jobs = runtime.GOMAXPROCS(0)
-	}
-	if shards < 1 {
-		shards = 1
-	}
-	if w := jobs / shards; w > 1 {
-		return w
-	}
-	return 1
 }
 
 // Run executes one configuration, memoized and single-flight: the first

@@ -67,14 +67,9 @@ type RunRecord struct {
 	NoiseSamples    int64 `json:"noise_samples,omitempty"`     // stochastic draws that injected time
 	NoiseInjectedPs int64 `json:"noise_injected_ps,omitempty"` // total simulated time injected, ps
 
-	Shards   int      `json:"shards,omitempty"`        // configured tiled-engine workers (0 = serial; auto runs may be clamped to GOMAXPROCS)
-	Tiles    int      `json:"tiles,omitempty"`         // tiled-engine tile count (0 = serial engine)
-	Windows  uint64   `json:"windows,omitempty"`       // conservative windows executed (0 = serial engine)
-	Engine   string   `json:"engine"`                  // "tiled" or "serial"
-	Reason   string   `json:"serial_reason,omitempty"` // why the serial engine ran (Config field name)
-	Outcome  string   `json:"outcome"`                 // "ok", "stall", or "crash"
-	Error    string   `json:"error,omitempty"`         // failure detail
-	HotLinks []string `json:"hot_links,omitempty"`     // top-3 mesh links by bytes (+ machine-wide p99 hop wait when metrics ran)
+	Outcome  string   `json:"outcome"`             // "ok", "stall", or "crash"
+	Error    string   `json:"error,omitempty"`     // failure detail
+	HotLinks []string `json:"hot_links,omitempty"` // top-3 mesh links by bytes (+ machine-wide p99 hop wait when metrics ran)
 
 	// Crit is the critical-path summary (omitted unless the run was
 	// profiled with machine.Config.CritPath).
@@ -126,17 +121,10 @@ func (t *Telemetry) observe(rc RunConfig, res RunResult, err error, wall time.Du
 		WallMS:      float64(wall.Microseconds()) / 1000,
 		FaultSpec:   rc.Machine.FaultSpec,
 		NoiseSpec:   rc.Machine.NoiseSpec,
-		Shards:      rc.Machine.EffectiveShards(),
 		Outcome:     "ok",
 	}
 	if rc.Machine.NoiseSpec != "" {
 		rec.NoiseSeed = rc.Machine.NoiseSeed
-	}
-	if rc.Machine.Tiled() {
-		rec.Engine = "tiled"
-	} else {
-		rec.Engine = "serial"
-		rec.Reason = rc.Machine.SerialReason()
 	}
 	if memo {
 		rec.Memo = "hit"
@@ -144,8 +132,6 @@ func (t *Telemetry) observe(rc RunConfig, res RunResult, err error, wall time.Du
 	switch {
 	case err == nil:
 		rec.SimCycles = res.Cycles
-		rec.Tiles = res.Tiles
-		rec.Windows = res.Windows
 		rec.NoiseSamples = res.Noise.Samples()
 		rec.NoiseInjectedPs = res.Noise.InjectedPs()
 		p99 := ""

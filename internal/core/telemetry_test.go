@@ -158,3 +158,33 @@ func TestInstrumentationIsPassive(t *testing.T) {
 			plain.Result, instr.Result)
 	}
 }
+
+// TestCritPathNetShareGap pins the Figure S2 finding as a critical-path
+// share gap: shared memory's critical path carries substantial network
+// round-trip time (the slack that damps an injected delay), while
+// message passing's waits are producer synchronization with almost no
+// exposed network time, which is why injected delay propagates to MP
+// runtime nearly undamped.
+func TestCritPathNetShareGap(t *testing.T) {
+	netShare := map[apps.Mechanism]float64{}
+	for _, mech := range []apps.Mechanism{apps.SM, apps.MPPoll} {
+		cfg := machine.DefaultConfig()
+		cfg.CritPath = true
+		res, err := core.Run(core.RunConfig{App: core.EM3D, Mech: mech, Scale: core.ScaleTiny, Machine: cfg})
+		if err != nil {
+			t.Fatalf("%s: %v", mech, err)
+		}
+		cp := res.CritPath
+		if cp == nil {
+			t.Fatalf("%s: no critical-path summary", mech)
+		}
+		if sum := cp.Compute + cp.MemStall + cp.NetLatency + cp.NetBandwidth + cp.Sync; sum != cp.TotalCycles {
+			t.Errorf("%s: categories sum to %d of %d total cycles", mech, sum, cp.TotalCycles)
+		}
+		netShare[mech] = float64(cp.NetLatency+cp.NetBandwidth) / float64(cp.TotalCycles)
+	}
+	if netShare[apps.SM] <= 2*netShare[apps.MPPoll] {
+		t.Errorf("network share of the critical path: SM %.4f vs MP-poll %.4f; expected SM well above MP",
+			netShare[apps.SM], netShare[apps.MPPoll])
+	}
+}

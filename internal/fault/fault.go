@@ -7,7 +7,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/sim"
 )
@@ -142,14 +141,6 @@ func (c Config) FaultsEnabled() bool {
 // one-shot delays — the clauses machine.Config.NoiseSpec carries.
 func (c Config) NoiseEnabled() bool {
 	return len(c.HostNoise) > 0 || len(c.NetNoise) > 0 || len(c.Delays) > 0
-}
-
-// Stochastic reports whether the config consumes seeded stream or
-// one-shot state whose draw order the serial engine alone pins down
-// (jitter and every noise clause). Pure window lookups are not
-// stochastic: the tiled engine may keep them.
-func (c Config) Stochastic() bool {
-	return c.Jitter.Max > 0 || c.NoiseEnabled()
 }
 
 // String renders the canonical spec text that Parse accepts. Re-parsing
@@ -528,11 +519,7 @@ func (s Stats) Samples() int64 { return s.HostNoiseSamples + s.NetNoiseSamples +
 func (s Stats) InjectedPs() int64 { return s.HostNoisePs + s.NetNoisePs + s.DelayPs }
 
 // Injector is the live fault source attached to one simulated machine.
-// The schedule-consuming path (PacketJitter) is not safe for concurrent
-// use and only runs under the serial engine; the pure window lookups
-// (LinkBlockedUntil, DrainStalledUntil) are read-only over the schedule
-// and count injections atomically, so the tiled engine may call them
-// from several tiles at once.
+// It is not safe for concurrent use; the simulator is single-threaded.
 type Injector struct {
 	cfg Config
 	rng uint64
@@ -540,22 +527,12 @@ type Injector struct {
 	// Noise state. Each node gets its own host-noise stream (seeded from
 	// the injector seed mixed with the node id) so one node's compute
 	// pattern cannot perturb another's draws; network noise shares one
-	// stream consumed in delivery order. All of it is serial-engine-only
-	// state: Config.Stochastic() forces the tiling fallback.
+	// stream consumed in delivery order.
 	netRng uint64
 	seed   uint64
 	nodes  []nodeNoise
 
-	jittered      atomic.Int64
-	outageDelays  atomic.Int64
-	stallRefusals atomic.Int64
-
-	hostNoiseSamples atomic.Int64
-	hostNoisePs      atomic.Int64
-	netNoiseSamples  atomic.Int64
-	netNoisePs       atomic.Int64
-	delaysFired      atomic.Int64
-	delayPs          atomic.Int64
+	stats Stats
 }
 
 // nodeNoise is one node's private noise state.
@@ -595,20 +572,7 @@ func (in *Injector) node(id int) *nodeNoise {
 func (in *Injector) Config() Config { return in.cfg }
 
 // Stats returns counts of faults injected so far.
-func (in *Injector) Stats() Stats {
-	return Stats{
-		Jittered:      in.jittered.Load(),
-		OutageDelays:  in.outageDelays.Load(),
-		StallRefusals: in.stallRefusals.Load(),
-
-		HostNoiseSamples: in.hostNoiseSamples.Load(),
-		HostNoisePs:      in.hostNoisePs.Load(),
-		NetNoiseSamples:  in.netNoiseSamples.Load(),
-		NetNoisePs:       in.netNoisePs.Load(),
-		DelaysFired:      in.delaysFired.Load(),
-		DelayPs:          in.delayPs.Load(),
-	}
-}
+func (in *Injector) Stats() Stats { return in.stats }
 
 // splitmix64: tiny, well-mixed, and stable across Go versions (unlike
 // math/rand's unexported algorithms), which keeps fault schedules
@@ -723,7 +687,7 @@ func sampleDist(rng *uint64, kind DistKind, mean sim.Time) sim.Time {
 // boundary on node at time now: host-noise dilation plus any one-shot
 // injected delay whose firing time has arrived. It consumes per-node
 // deterministic stream state, so callers must invoke it exactly once per
-// compute phase, in that node's program order (serial engine only).
+// compute phase, in that node's program order.
 func (in *Injector) ComputeDilation(nodeID int, now sim.Time) sim.Time {
 	if len(in.cfg.HostNoise) == 0 && len(in.cfg.Delays) == 0 {
 		return 0
@@ -736,8 +700,8 @@ func (in *Injector) ComputeDilation(nodeID int, now sim.Time) sim.Time {
 		}
 		d := sampleDist(&st.rng, n.Dist, n.Mean)
 		if d > 0 {
-			in.hostNoiseSamples.Add(1)
-			in.hostNoisePs.Add(int64(d))
+			in.stats.HostNoiseSamples++
+			in.stats.HostNoisePs += int64(d)
 			total += d
 		}
 	}
@@ -746,8 +710,8 @@ func (in *Injector) ComputeDilation(nodeID int, now sim.Time) sim.Time {
 			continue
 		}
 		st.delayFired[i] = true
-		in.delaysFired.Add(1)
-		in.delayPs.Add(int64(dl.Dur))
+		in.stats.DelaysFired++
+		in.stats.DelayPs += int64(dl.Dur)
 		total += dl.Dur
 	}
 	return total
@@ -755,8 +719,7 @@ func (in *Injector) ComputeDilation(nodeID int, now sim.Time) sim.Time {
 
 // PacketDelay returns the extra delivery delay network noise adds to one
 // packet from src to dst. It consumes the shared network stream, so
-// callers must invoke it exactly once per packet, in delivery order
-// (serial engine only).
+// callers must invoke it exactly once per packet, in delivery order.
 func (in *Injector) PacketDelay(src, dst int) sim.Time {
 	var total sim.Time
 	for _, n := range in.cfg.NetNoise {
@@ -765,8 +728,8 @@ func (in *Injector) PacketDelay(src, dst int) sim.Time {
 		}
 		d := sampleDist(&in.netRng, n.Dist, n.Mean)
 		if d > 0 {
-			in.netNoiseSamples.Add(1)
-			in.netNoisePs.Add(int64(d))
+			in.stats.NetNoiseSamples++
+			in.stats.NetNoisePs += int64(d)
 			total += d
 		}
 	}
@@ -788,7 +751,7 @@ func (in *Injector) PacketJitter() sim.Time {
 	}
 	d := sim.Time(in.next() % uint64(j.Max+1))
 	if d > 0 {
-		in.jittered.Add(1)
+		in.stats.Jittered++
 	}
 	return d
 }
@@ -807,7 +770,7 @@ func (in *Injector) LinkBlockedUntil(a, b int, t sim.Time) sim.Time {
 		}
 	}
 	if until > t {
-		in.outageDelays.Add(1)
+		in.stats.OutageDelays++
 		return until
 	}
 	return 0
@@ -826,7 +789,7 @@ func (in *Injector) DrainStalledUntil(node int, t sim.Time) sim.Time {
 		}
 	}
 	if until > t {
-		in.stallRefusals.Add(1)
+		in.stats.StallRefusals++
 		return until
 	}
 	return 0

@@ -65,31 +65,29 @@ func TestParseNoiseErrors(t *testing.T) {
 	}
 }
 
-// TestConfigClasses pins the clause taxonomy the engine-selection and
-// spec-validation logic rely on: jitter/outage/stall are faults,
-// hostnoise/netnoise/delay are noise, and jitter + noise are the
-// stochastic (serial-engine-only) clauses.
+// TestConfigClasses pins the clause taxonomy the spec-validation logic
+// relies on: jitter/outage/stall are faults, hostnoise/netnoise/delay
+// are noise.
 func TestConfigClasses(t *testing.T) {
 	cases := []struct {
-		spec                      string
-		faults, noise, stochastic bool
+		spec          string
+		faults, noise bool
 	}{
-		{"jitter:max=1us,prob=0.5", true, false, true},
-		{"outage:node=*,dur=1us", true, false, false},
-		{"stall:node=1,dur=1us", true, false, false},
-		{"hostnoise:dist=exp,mean=1us", false, true, true},
-		{"netnoise:dist=const,mean=1ns", false, true, true},
-		{"delay:node=0,dur=1us", false, true, true},
+		{"jitter:max=1us,prob=0.5", true, false},
+		{"outage:node=*,dur=1us", true, false},
+		{"stall:node=1,dur=1us", true, false},
+		{"hostnoise:dist=exp,mean=1us", false, true},
+		{"netnoise:dist=const,mean=1ns", false, true},
+		{"delay:node=0,dur=1us", false, true},
 	}
 	for _, tc := range cases {
 		c, err := Parse(tc.spec)
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", tc.spec, err)
 		}
-		if c.FaultsEnabled() != tc.faults || c.NoiseEnabled() != tc.noise || c.Stochastic() != tc.stochastic {
-			t.Errorf("%q: FaultsEnabled=%v NoiseEnabled=%v Stochastic=%v, want %v/%v/%v",
-				tc.spec, c.FaultsEnabled(), c.NoiseEnabled(), c.Stochastic(),
-				tc.faults, tc.noise, tc.stochastic)
+		if c.FaultsEnabled() != tc.faults || c.NoiseEnabled() != tc.noise {
+			t.Errorf("%q: FaultsEnabled=%v NoiseEnabled=%v, want %v/%v",
+				tc.spec, c.FaultsEnabled(), c.NoiseEnabled(), tc.faults, tc.noise)
 		}
 		if !c.Enabled() {
 			t.Errorf("%q: Enabled() = false", tc.spec)

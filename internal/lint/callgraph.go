@@ -8,7 +8,7 @@ import (
 )
 
 // This file builds the whole-module static call graph the interprocedural
-// checks (callpath, shardsafe, serialonly) share. The graph is
+// callpath check uses. The graph is
 // deliberately simple and conservative:
 //
 //   - Nodes are declared functions/methods (in-module and, lazily, the

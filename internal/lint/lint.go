@@ -90,8 +90,6 @@ func Checks() []*Check {
 		RawConcCheck,
 		FingerprintCheck,
 		CallPathCheck,
-		ShardSafeCheck,
-		SerialOnlyCheck,
 		IntMathCheck,
 	}
 }

@@ -43,9 +43,10 @@ func TestFixtures(t *testing.T) {
 		{name: "rawconc", dir: "rawconc", pkgPath: "repro/internal/apps/fixture", checks: []*Check{RawConcCheck}},
 		{name: "rawconc-psync", dir: "rawconc", pkgPath: "repro/internal/psync", checks: []*Check{RawConcCheck}},
 		{name: "rawconc-out-of-scope", dir: "rawconc", pkgPath: "repro/internal/sim", checks: []*Check{RawConcCheck}, ignoreWants: true},
-		// The sharded engine's barrier idiom (worker goroutines, epoch
-		// atomics, park channels) is sanctioned inside internal/sim — the
-		// group owns host scheduling — but must fire in application code.
+		// A worker-pool barrier idiom (worker goroutines, epoch atomics,
+		// park channels) is out of scope inside internal/sim, but must
+		// fire in application code, including method calls on
+		// sync/atomic-typed receivers.
 		{name: "rawconc-shard-app", dir: "rawconc_shard", pkgPath: "repro/internal/apps/fixture", checks: []*Check{RawConcCheck}},
 		{name: "rawconc-shard-sim", dir: "rawconc_shard", pkgPath: "repro/internal/sim", checks: []*Check{RawConcCheck}, ignoreWants: true},
 		{name: "fingerprint-good", dir: "fingerprint_good", pkgPath: "repro/internal/core", checks: []*Check{FingerprintCheck}},
@@ -57,13 +58,6 @@ func TestFixtures(t *testing.T) {
 		// Float math is fine outside the machine model: apps compute on
 		// simulated data and figures post-process results.
 		{name: "intmath-out-of-scope", dir: "intmath", pkgPath: "repro/internal/figures/fixture", checks: []*Check{IntMathCheck}, ignoreWants: true},
-		{name: "serialonly-good", dir: "serialonly_good", pkgPath: "repro/internal/machine/fixture", checks: []*Check{SerialOnlyCheck}},
-		{name: "serialonly-bad", dir: "serialonly_bad", pkgPath: "repro/internal/machine/fixture", checks: []*Check{SerialOnlyCheck}},
-		{name: "serialonly-no-manifest", dir: "serialonly_nomanifest", pkgPath: "repro/internal/machine/fixture", checks: []*Check{SerialOnlyCheck}},
-		{name: "serialonly-no-gate", dir: "serialonly_nogate", pkgPath: "repro/internal/machine/fixture", checks: []*Check{SerialOnlyCheck}},
-		// A Config outside internal/machine is someone else's business.
-		{name: "serialonly-out-of-scope", dir: "serialonly_bad", pkgPath: "repro/internal/core/fixture", checks: []*Check{SerialOnlyCheck}, ignoreWants: true},
-		{name: "shardsafe", dir: "shardsafe", pkgPath: "repro/internal/mem/fixture", checks: []*Check{ShardSafeCheck}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -206,82 +200,6 @@ func TestCallPathFixture(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("no diagnostic carries the Stamp -> NowMillis -> time.Now chain:\n%v", diags)
-	}
-}
-
-// TestSerialOnlyGuardDeletion is the check's reason to exist, exercised
-// against the real module: delete the CrossTraffic guard from
-// machine.Config.serialReason (the guard body tilingOK forwards to, and
-// which the check's forward closure therefore covers) and serialonly
-// must fail. Loading the whole module from source is slow, so the test
-// is skipped under -short.
-func TestSerialOnlyGuardDeletion(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads and type-checks the whole module from source")
-	}
-	pkgs, err := Load(filepath.Join("..", ".."), []string{"./..."}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diags := Run(pkgs, []*Check{SerialOnlyCheck}); len(diags) != 0 {
-		t.Fatalf("real tree is not clean under serialonly before mutation:\n%v", diags)
-	}
-
-	// Find serialReason and cut the guard statement consulting CrossTraffic.
-	var body *ast.BlockStmt
-	for _, pkg := range pkgs {
-		if pkg.Path != "repro/internal/machine" {
-			continue
-		}
-		for _, f := range pkg.Files {
-			for _, d := range f.Decls {
-				if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.Name == "serialReason" {
-					body = fd.Body
-				}
-			}
-		}
-	}
-	if body == nil {
-		t.Fatal("no serialReason declaration found in repro/internal/machine")
-	}
-	mentions := func(st ast.Stmt, field string) bool {
-		hit := false
-		ast.Inspect(st, func(n ast.Node) bool {
-			if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == field {
-				hit = true
-			}
-			return true
-		})
-		return hit
-	}
-	orig := body.List
-	defer func() { body.List = orig }()
-	kept := make([]ast.Stmt, 0, len(orig))
-	cut := false
-	for _, st := range orig {
-		if !cut && mentions(st, "CrossTraffic") {
-			cut = true
-			continue
-		}
-		kept = append(kept, st)
-	}
-	if !cut {
-		t.Fatal("serialReason has no statement consulting CrossTraffic; the fixture assumption broke")
-	}
-	body.List = kept
-
-	diags := Run(pkgs, []*Check{SerialOnlyCheck})
-	if len(diags) == 0 {
-		t.Fatal("deleting the CrossTraffic guard from serialReason produced no serialonly diagnostic")
-	}
-	var hit bool
-	for _, d := range diags {
-		if strings.Contains(d.Message, "CrossTraffic") {
-			hit = true
-		}
-	}
-	if !hit {
-		t.Errorf("no diagnostic names the unguarded CrossTraffic field:\n%v", diags)
 	}
 }
 

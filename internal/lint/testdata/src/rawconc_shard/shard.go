@@ -1,9 +1,9 @@
-// Package fixture mirrors the sharded engine's barrier idiom: worker
-// goroutines, epoch atomics, and buffered park channels. Inside
-// internal/sim this is the one sanctioned concurrency surface (the
-// engine group owns host scheduling); the identical code in a simulated
-// application would let host interleave leak into results, so rawconc
-// must fire there and stay silent in sim.
+// Package fixture is a worker-pool barrier idiom: worker goroutines,
+// epoch atomics, and buffered park channels, with atomic methods called
+// on sync/atomic-typed receivers (no package name at the call site).
+// internal/sim is outside rawconc's scope; the identical code in a
+// simulated application would let host interleave leak into results, so
+// rawconc must fire there and stay silent in sim.
 package fixture
 
 import "sync/atomic"
@@ -33,8 +33,8 @@ func (b *windowBarrier) open(workers int) {
 
 func (b *windowBarrier) runShare(w int) {}
 
-// mergeOrder is the pure part of the barrier — sorting mailbox events by
-// (at, seq, src) involves no host concurrency and is fine anywhere.
+// mergeOrder is pure ordering logic — sorting events by (at, seq)
+// involves no host concurrency and is fine anywhere.
 func mergeOrder(at, seq []uint64) bool {
 	for i := 1; i < len(at); i++ {
 		if at[i] < at[i-1] || (at[i] == at[i-1] && seq[i] < seq[i-1]) {

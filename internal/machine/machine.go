@@ -2,7 +2,6 @@ package machine
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/am"
 	"repro/internal/fault"
@@ -65,14 +64,14 @@ type Config struct {
 
 	// CritPath enables the critical-path profiler: causal edges (message
 	// send→receive, miss→fill, directory txn begin→grant, barrier
-	// arrive→release) are recorded into bounded per-tile rings, and the
+	// arrive→release) are recorded into a bounded ring, and the
 	// post-run pass attributes every cycle of the last-finishing
 	// processor's timeline to {compute, mem stall, net latency, net
 	// bandwidth, sync} in Result.CritPath. Purely passive — enabling it
 	// never changes simulated timing.
 	CritPath bool
 
-	// CritEdgeCap, if nonzero, overrides the per-tile causal-edge ring
+	// CritEdgeCap, if nonzero, overrides the causal-edge ring
 	// capacity the critical-path profiler retains (default
 	// obs.DefaultCritEdgeCap). The prediction layer raises it so the
 	// whole edge stream of an instrumented run survives as a dependency
@@ -98,17 +97,6 @@ type Config struct {
 	NoiseSpec string
 	// NoiseSeed seeds the noise streams; meaningful only with NoiseSpec.
 	NoiseSeed uint64
-
-	// Shards selects the intra-run engine: 0 (the default) chooses
-	// automatically — the serial event loop below AutoShardNodes, the
-	// tiled conservative-window engine with AutoShardWorkers workers at or
-	// above it; a negative value forces the serial engine; N >= 1 forces
-	// the tiled engine with N worker goroutines (clamped to the tile
-	// count). Tiles are fixed by geometry alone, so for a given config the
-	// tiled engine produces identical results at every worker count —
-	// Shards only moves wall-clock time. Configs the tiled engine does not
-	// support (see tilingOK) fall back to the serial engine.
-	Shards int
 
 	// EventLimit overrides the runaway-simulation guard (dispatched-event
 	// cap); 0 uses the default of 2e9 events.
@@ -137,114 +125,6 @@ func DefaultConfig() Config {
 // MaxNodes is the largest supported machine, bounded by the directory's
 // sharer-bitset capacity (see mem.MaxNodes).
 const MaxNodes = mem.MaxNodes
-
-// Tiled-engine policy knobs.
-const (
-	// AutoShardNodes is the node count at or above which Shards = 0 picks
-	// the tiled engine automatically. Below it the serial loop wins: the
-	// per-window barrier costs more than the work it parallelizes.
-	AutoShardNodes = 128
-	// AutoShardWorkers is the worker count the automatic choice uses.
-	AutoShardWorkers = 4
-	// maxTiles caps how many row bands a machine is cut into. Eight keeps
-	// bands at least two rows tall on every supported geometry at least
-	// 16 rows high, which bounds barrier frequency; more tiles than
-	// cores-worth of workers buys nothing.
-	maxTiles = 8
-)
-
-// TileCount returns how many contiguous row bands the tiled engine would
-// split this machine into: one per row, capped at maxTiles. The count
-// depends on geometry alone — never on Shards or the worker budget — so a
-// machine's tiling, and therefore its simulated result, is a pure
-// function of the model.
-func (c Config) TileCount() int {
-	if c.Height < maxTiles {
-		return c.Height
-	}
-	return maxTiles
-}
-
-// serialReason returns the name of the first Config field that forces
-// the serial engine, or "" when the tiled engine can run this config.
-// Cross-traffic generators, the ideal-network emulation, and stochastic
-// injection (jittered faults and every noise clause) all assume one
-// serial event loop; such configs keep the serial engine rather than
-// grow locks. Outage and stall-window faults are fine: their injector is
-// read-only per packet with atomic counters. The observability paths
-// (metrics, tracing, spans, critical path) are shard-safe: instruments
-// are tile-owned or merged from per-tile scratch after the run (see the
-// tilingSafe manifest).
-func (c Config) serialReason() string {
-	if c.TileCount() < 2 {
-		return "Height"
-	}
-	if c.HopLatency <= 0 {
-		return "HopLatency"
-	}
-	if c.CrossTraffic.BytesPerCycle > 0 {
-		return "CrossTraffic"
-	}
-	if c.IdealNetOneWayCycles > 0 {
-		return "IdealNetOneWayCycles"
-	}
-	if c.NoiseSpec != "" {
-		// Noise draws from seeded streams in event order — an ordering
-		// only the serial loop provides — and one-shot delays latch state.
-		return "NoiseSpec"
-	}
-	if c.FaultSpec != "" {
-		fc, err := fault.Parse(c.FaultSpec)
-		if err != nil || fc.Stochastic() {
-			// Jitter draws from one RNG stream in global packet-send order,
-			// an ordering only the serial loop provides.
-			return "FaultSpec"
-		}
-	}
-	return ""
-}
-
-// tilingOK reports whether this config can run on the tiled engine.
-func (c Config) tilingOK() bool { return c.serialReason() == "" }
-
-// SerialReason names why a config runs on the serial engine — the
-// Shards policy ("Shards" for a forced serial engine, "AutoShardNodes"
-// below the automatic threshold) or the first model field tilingOK
-// rejects — mirroring Tiled's decision order. Empty for tiled configs.
-func (c Config) SerialReason() string {
-	if c.Shards < 0 {
-		return "Shards"
-	}
-	if c.Shards == 0 && c.Nodes() < AutoShardNodes {
-		return "AutoShardNodes"
-	}
-	return c.serialReason()
-}
-
-// Tiled reports whether this config runs on the tiled engine.
-func (c Config) Tiled() bool {
-	if c.Shards < 0 || (c.Shards == 0 && c.Nodes() < AutoShardNodes) {
-		return false
-	}
-	return c.tilingOK()
-}
-
-// EffectiveShards returns the number of worker goroutines the run's
-// engine uses: 0 for the serial engine, otherwise Shards (or
-// AutoShardWorkers under the automatic choice) clamped to the tile count.
-func (c Config) EffectiveShards() int {
-	if !c.Tiled() {
-		return 0
-	}
-	n := c.Shards
-	if n == 0 {
-		n = AutoShardWorkers
-	}
-	if t := c.TileCount(); n > t {
-		n = t
-	}
-	return n
-}
 
 // Geometry factors nodes into the canonical P×Q wormhole-mesh shape:
 // the widest near-square grid, width >= height, matching Alewife's 8x4
@@ -290,13 +170,8 @@ func (c Config) Nodes() int { return c.Width * c.Height }
 // set up application state (allocations, handlers), then call Run exactly
 // once.
 type Machine struct {
-	Cfg Config
-	// Eng is the serial event engine; nil under the tiled engine, where
-	// every node's events run on its tile (see EngineFor and Grp).
-	Eng *sim.Engine
-	// Grp coordinates the tiled engine's conservative windows; nil for
-	// serial runs.
-	Grp   *sim.Group
+	Cfg   Config
+	Eng   *sim.Engine
 	Clk   sim.Clock
 	Net   *mesh.Network
 	Store *mem.Store
@@ -304,30 +179,18 @@ type Machine struct {
 	AM    *am.System
 	Procs []*Proc
 
-	// ExtraEv accumulates counters owned by layers above the substrates
-	// (synchronization library); merged into Result.Events.
-	ExtraEv stats.Events
-
 	// Trace holds the last Cfg.TraceCap events when tracing is enabled.
-	// Under the tiled engine events are recorded into per-tile rings and
-	// Trace is nil until Run merges them (use TraceFor to record during
-	// the run).
 	Trace *trace.Buffer
 
 	// Obs is the metrics registry when Cfg.Metrics is set; nil otherwise.
-	// Instruments are tile-owned or per-tile scratch; the registry is
-	// complete once Run returns.
 	Obs *obs.Registry
 
 	// Spans holds the last Cfg.SpanCap thread-state spans when span
-	// recording is enabled; nil otherwise. Under the tiled engine each
-	// tile's engine records into its own ring and Spans is nil until Run
-	// merges them.
+	// recording is enabled; nil otherwise.
 	Spans *obs.SpanBuffer
 
 	// Crit is the critical-path recorder when Cfg.CritPath is set; nil
-	// otherwise. Its per-node slots and per-tile edge rings are safe to
-	// record into from any node's engine context.
+	// otherwise.
 	Crit *obs.CritRecorder
 
 	// Faults is the live fault injector; nil unless Cfg.FaultSpec is set.
@@ -341,35 +204,6 @@ type Machine struct {
 	ran    bool
 	doneN  int
 	finish sim.Time
-
-	engs   []*sim.Engine // tiled: engs[b] executes band b; nil for serial
-	tileOf []int         // tiled: node -> band of the node's row
-
-	// Per-tile observability rings (tiled runs only): index b is written
-	// only by band b's engine and merged into Trace/Spans after the run.
-	tileTraces []*trace.Buffer
-	tileSpans  []*obs.SpanBuffer
-}
-
-// TraceFor returns the trace buffer node's events should be recorded
-// into, or nil when tracing is disabled: the shared buffer on the serial
-// engine, the node's tile ring under the tiled engine. Layers that trace
-// from processor context (the synchronization library) must route
-// through this so every ring keeps a single writer.
-func (m *Machine) TraceFor(node int) *trace.Buffer {
-	if m.tileTraces != nil {
-		return m.tileTraces[m.tileOf[node]]
-	}
-	return m.Trace
-}
-
-// EngineFor returns the engine that executes node's events: the serial
-// engine, or the node's tile under the tiled engine.
-func (m *Machine) EngineFor(node int) *sim.Engine {
-	if m.Grp == nil {
-		return m.Eng
-	}
-	return m.engs[m.tileOf[node]]
 }
 
 // New builds a machine from cfg.
@@ -381,30 +215,7 @@ func New(cfg Config) *Machine {
 		panic(fmt.Sprintf("machine: %dx%d = %d nodes exceeds the %d-node directory capacity",
 			cfg.Width, cfg.Height, cfg.Nodes(), MaxNodes))
 	}
-	var (
-		eng *sim.Engine
-		grp *sim.Group
-	)
-	if cfg.Tiled() {
-		// The per-hop head latency is the lookahead: every band is at
-		// least one hop wide, so any cross-band interaction takes at
-		// least one HopLatency of simulated time.
-		grp = sim.NewGroup(cfg.TileCount(), cfg.HopLatency)
-		workers := cfg.EffectiveShards()
-		// Auto-sharding adapts the worker count to the host: extra
-		// workers on fewer cores only add barrier traffic. An explicit
-		// Shards=N is honored exactly (tests rely on forcing multi-worker
-		// schedules regardless of host). Engine *choice* stays a pure
-		// function of the config — worker count is pure scheduling, so
-		// results and cache keys are host-independent either way.
-		if cfg.Shards == 0 && workers > runtime.GOMAXPROCS(0) {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		grp.SetWorkers(workers)
-		eng = grp.Engine(0) // substrate default; retiled per node below
-	} else {
-		eng = sim.NewEngine()
-	}
+	eng := sim.NewEngine()
 	clk := sim.NewClock(cfg.ClockMHz)
 	net := mesh.New(eng, mesh.Config{
 		Width: cfg.Width, Height: cfg.Height,
@@ -415,27 +226,8 @@ func New(cfg Config) *Machine {
 	msys := mem.NewSystem(eng, net, clk, cfg.Mem, store)
 	asys := am.NewSystem(eng, net, clk, cfg.AM)
 	m := &Machine{
-		Cfg: cfg, Eng: eng, Grp: grp, Clk: clk, Net: net,
+		Cfg: cfg, Eng: eng, Clk: clk, Net: net,
 		Store: store, Mem: msys, AM: asys,
-	}
-	if grp != nil {
-		m.Eng = nil
-		tiles := grp.Tiles()
-		bandOfRow := make([]int, cfg.Height)
-		for r := range bandOfRow {
-			bandOfRow[r] = r * tiles / cfg.Height
-		}
-		m.tileOf = make([]int, cfg.Nodes())
-		for n := range m.tileOf {
-			m.tileOf[n] = bandOfRow[n/cfg.Width]
-		}
-		m.engs = make([]*sim.Engine, tiles)
-		for i := range m.engs {
-			m.engs[i] = grp.Engine(i)
-		}
-		net.SetTiles(bandOfRow, m.engs)
-		msys.SetTileEngines(m.EngineFor)
-		asys.SetTileEngines(m.EngineFor)
 	}
 	for i := 0; i < cfg.Nodes(); i++ {
 		net.Attach(i, asys.Endpoint(i)) // AM queueing; coherence passes through
@@ -445,21 +237,9 @@ func New(cfg Config) *Machine {
 		msys.SetIdealNetwork(clk.Cycles(cfg.IdealNetOneWayCycles))
 	}
 	if cfg.TraceCap > 0 {
-		if grp != nil {
-			// Per-tile rings, each sized like the final buffer so the
-			// merged last-TraceCap events are a subset of what the tiles
-			// retain; Run merges them into m.Trace.
-			m.tileTraces = make([]*trace.Buffer, len(m.engs))
-			for i := range m.tileTraces {
-				m.tileTraces[i] = trace.New(cfg.TraceCap)
-			}
-			msys.SetTraceShards(m.TraceFor)
-			asys.SetTraceShards(m.TraceFor)
-		} else {
-			m.Trace = trace.New(cfg.TraceCap)
-			msys.SetTrace(m.Trace)
-			asys.SetTrace(m.Trace)
-		}
+		m.Trace = trace.New(cfg.TraceCap)
+		msys.SetTrace(m.Trace)
+		asys.SetTrace(m.Trace)
 	}
 	if cfg.Metrics {
 		m.Obs = obs.NewRegistry()
@@ -468,33 +248,20 @@ func New(cfg Config) *Machine {
 		asys.SetMetrics(m.Obs)
 	}
 	if cfg.SpanCap > 0 {
-		record := func(b *obs.SpanBuffer) func(th *sim.Thread, start, end sim.Time, blocked bool, reason string, arg int64) {
-			return func(th *sim.Thread, start, end sim.Time, blocked bool, reason string, arg int64) {
-				b.Record(obs.Span{
-					Thread: th.Name(), Start: start, End: end,
-					Blocked: blocked, Reason: reason, Arg: arg,
-				})
-			}
-		}
-		if grp != nil {
-			// One ring per tile, owned by that tile's engine; Run merges
-			// them into m.Spans.
-			m.tileSpans = make([]*obs.SpanBuffer, len(m.engs))
-			for i, e := range m.engs {
-				m.tileSpans[i] = obs.NewSpanBuffer(cfg.SpanCap)
-				e.SetSpanObserver(record(m.tileSpans[i]))
-			}
-		} else {
-			m.Spans = obs.NewSpanBuffer(cfg.SpanCap)
-			eng.SetSpanObserver(record(m.Spans))
-		}
+		m.Spans = obs.NewSpanBuffer(cfg.SpanCap)
+		eng.SetSpanObserver(func(th *sim.Thread, start, end sim.Time, blocked bool, reason string, arg int64) {
+			m.Spans.Record(obs.Span{
+				Thread: th.Name(), Start: start, End: end,
+				Blocked: blocked, Reason: reason, Arg: arg,
+			})
+		})
 	}
 	if cfg.CritPath {
 		cap := cfg.CritEdgeCap
 		if cap <= 0 {
 			cap = obs.DefaultCritEdgeCap
 		}
-		m.Crit = obs.NewCritRecorder(cfg.Nodes(), m.tileOf, cap)
+		m.Crit = obs.NewCritRecorder(cfg.Nodes(), cap)
 		msys.SetCritPath(m.Crit)
 	}
 	if cfg.FaultSpec != "" {
@@ -542,20 +309,6 @@ type Result struct {
 	EmulatedBisection float64           // native minus cross-traffic, bytes/cycle
 	Links             []mesh.LinkLoad   // the run's three hottest mesh links
 
-	// Tiled-engine shape: tile and conservative-window counts, both pure
-	// functions of the config (identical at every worker count, so they
-	// are safe to carry in a result that must deep-equal across Shards
-	// settings). Zero means the serial engine ran.
-	Tiles   int
-	Windows uint64
-
-	// SerialReason names the Config field that forced the serial engine
-	// when the model itself rules tiling out (tilingOK); empty for tiled
-	// runs and for serial runs chosen purely by the Shards policy, which
-	// is not part of the memo key (see Config.SerialReason for the
-	// policy-aware answer).
-	SerialReason string
-
 	// CritPath is the critical-path attribution when Cfg.CritPath is
 	// set; nil otherwise. All fields exported so it survives JSON
 	// round-trips (disk cache, runlog).
@@ -583,20 +336,15 @@ func (m *Machine) Run(body func(p *Proc)) Result {
 		m.Net.StartCrossTraffic(m.Cfg.CrossTraffic, m.Clk)
 	}
 	n := len(m.Procs)
-	tiled := m.Grp != nil
 	for _, p := range m.Procs {
 		p := p
-		p.th = m.EngineFor(p.ID).Spawn(fmt.Sprintf("proc%d", p.ID), 0, func(th *sim.Thread) {
+		p.th = m.Eng.Spawn(fmt.Sprintf("proc%d", p.ID), 0, func(th *sim.Thread) {
 			body(p)
 			p.doneAt = th.Now()
-			if !tiled {
-				// Cross-tile shared counters are off-limits under tiling;
-				// completion is reconstructed from per-proc state after Run.
-				m.doneN++
-				if m.doneN == n {
-					m.finish = th.Now()
-					m.Net.StopCrossTraffic()
-				}
+			m.doneN++
+			if m.doneN == n {
+				m.finish = th.Now()
+				m.Net.StopCrossTraffic()
 			}
 		})
 	}
@@ -604,56 +352,24 @@ func (m *Machine) Run(body func(p *Proc)) Result {
 	if limit == 0 {
 		limit = 2_000_000_000
 	}
-	if tiled {
-		m.Grp.SetEventLimit(limit)
-		if m.Cfg.DeadlineCycles > 0 {
-			m.Grp.SetDeadline(m.Clk.Cycles(m.Cfg.DeadlineCycles))
-		}
-	} else {
-		m.Eng.SetEventLimit(limit)
-		if m.Cfg.DeadlineCycles > 0 {
-			m.Eng.SetDeadline(m.Clk.Cycles(m.Cfg.DeadlineCycles))
-		}
+	m.Eng.SetEventLimit(limit)
+	if m.Cfg.DeadlineCycles > 0 {
+		m.Eng.SetDeadline(m.Clk.Cycles(m.Cfg.DeadlineCycles))
 	}
 	m.runEngine()
-	if tiled {
-		for _, p := range m.Procs {
-			if p.th.State() == sim.ThreadDone {
-				m.doneN++
-				if p.doneAt > m.finish {
-					m.finish = p.doneAt
-				}
-			}
-		}
-	}
 	if m.doneN != n {
-		d := m.diagnose(sim.StallDeadlock)
+		d := m.Eng.Diagnose(sim.StallDeadlock)
 		d.Notes = append(d.Notes, fmt.Sprintf("only %d/%d processors finished", m.doneN, n))
 		panic(m.enrich(d))
 	}
 	if err := m.Mem.CheckInvariants(true); err != nil {
 		panic(fmt.Sprintf("machine: post-run %v", err))
 	}
-	// Fold per-tile observability state now that the tile engines have
-	// joined: scratch instruments into the registry, per-tile rings into
-	// the machine-wide buffers. Merges are deterministic (commutative
-	// sums; timestamp-ordered stable sorts), so snapshots are identical
-	// at every worker count.
-	if m.Obs != nil {
-		m.Net.FinishMetrics()
-		m.Mem.FinishMetrics()
-	}
-	if m.tileTraces != nil {
-		m.Trace = trace.Merge(m.Cfg.TraceCap, m.tileTraces...)
-	}
-	if m.tileSpans != nil {
-		m.Spans = obs.MergeSpans(m.Cfg.SpanCap, m.tileSpans...)
-	}
 	res := Result{
 		Time:    m.finish,
 		Cycles:  m.Clk.ToCycles(m.finish),
 		Volume:  m.Net.Volume(),
-		Events:  m.Mem.Events().Plus(m.AM.Events()).Plus(m.ExtraEv),
+		Events:  m.Mem.Events().Plus(m.AM.Events()),
 		PerProc: make([]stats.Breakdown, n),
 	}
 	res.DoneCycles = make([]int64, n)
@@ -665,12 +381,6 @@ func (m *Machine) Run(body func(p *Proc)) Result {
 	}
 	if m.Noise != nil {
 		res.Noise = m.Noise.Stats()
-	}
-	if m.Grp != nil {
-		res.Tiles = m.Grp.Tiles()
-		res.Windows = m.Grp.Windows()
-	} else {
-		res.SerialReason = m.Cfg.serialReason()
 	}
 	if m.Crit != nil {
 		// The critical path of a barrier-terminated SPMD run is the
@@ -717,19 +427,7 @@ func (m *Machine) runEngine() {
 			panic(r)
 		}
 	}()
-	if m.Grp != nil {
-		m.Grp.Run()
-		return
-	}
 	m.Eng.Run()
-}
-
-// diagnose captures engine-level liveness state from whichever engine ran.
-func (m *Machine) diagnose(kind sim.StallKind) *sim.StallError {
-	if m.Grp != nil {
-		return m.Grp.Diagnose(kind)
-	}
-	return m.Eng.Diagnose(kind)
 }
 
 // maxDumpNotes bounds each subsystem's contribution to a stall dump.

@@ -78,36 +78,6 @@ func TestNoiseDilatesRuntime(t *testing.T) {
 	}
 }
 
-// TestNoiseForcesSerialEngine pins satellite behavior: any NoiseSpec
-// disqualifies the tiled engine (noise draws in event order, which only
-// the serial loop provides), so noisy runs are identical at every
-// Shards value.
-func TestNoiseForcesSerialEngine(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Shards = 4
-	if !cfg.Tiled() {
-		t.Fatal("baseline config with Shards=4 is not tiled; test premise broken")
-	}
-	cfg.NoiseSpec = "netnoise:node=*,dist=const,mean=1ns"
-	if cfg.Tiled() {
-		t.Error("noise-bearing config still claims the tiled engine")
-	}
-	if cfg.EffectiveShards() != 0 {
-		t.Errorf("EffectiveShards = %d, want 0 (serial)", cfg.EffectiveShards())
-	}
-	run := func(shards int) Result {
-		c := cfg
-		c.Shards = shards
-		m := New(c)
-		return m.Run(noisyWorkload(m))
-	}
-	forced, auto := run(-1), run(4)
-	if forced.Cycles != auto.Cycles || !reflect.DeepEqual(forced.DoneCycles, auto.DoneCycles) {
-		t.Errorf("noisy run differs across Shards settings: %d vs %d cycles",
-			forced.Cycles, auto.Cycles)
-	}
-}
-
 // TestNewRejectsMisplacedClauses: the two spec fields are disjoint
 // sublanguages — New refuses noise clauses in FaultSpec and fault
 // clauses in NoiseSpec, naming the right home for each.

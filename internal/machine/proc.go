@@ -37,9 +37,7 @@ type Proc struct {
 	ID int
 	BD stats.Breakdown
 	// Ev accumulates counters owned by layers above the substrates
-	// (synchronization library). Per-processor — written only from p's own
-	// thread — so the tiled engine needs no locking; Run sums them into
-	// Result.Events.
+	// (synchronization library); Run sums them into Result.Events.
 	Ev stats.Events
 
 	th     *sim.Thread
@@ -175,7 +173,7 @@ func (p *Proc) Poll() int {
 func (p *Proc) WaitAndHandle() int {
 	if !p.M.AM.HasPending(p.ID) {
 		start := p.th.Now()
-		p.M.AM.Notify(p.ID, func() { p.th.WakeAt(p.th.Engine().Now()) })
+		p.M.AM.Notify(p.ID, func() { p.th.WakeAt(p.M.Eng.Now()) })
 		p.th.SetWaitReason("await-message", 0)
 		p.th.Pause()
 		p.BD.Add(stats.BucketSync, p.th.Now()-start)
@@ -222,7 +220,7 @@ func (p *Proc) critMsgWait(start, end sim.Time) {
 		lat = transit
 	}
 	p.M.Crit.MsgWait(p.ID, lat, transit-lat)
-	p.M.Crit.Edge(p.ID, obs.CritEdge{
+	p.M.Crit.Edge(obs.CritEdge{
 		Kind: "msg", Src: src, Dst: p.ID,
 		Start: sent, End: end, Lat: lat, BW: transit - lat,
 	})

@@ -83,8 +83,8 @@ type dirEntry struct {
 	// reply carries the value to the new owner's cache, and an eviction
 	// write-back echoes it back, so home can recognize a stale
 	// write-back (one overtaken by the evictor's re-acquisition) from
-	// home-side state alone — under the tiled engine the evictor's cache
-	// and pending set belong to another tile and must not be read here.
+	// home-side state alone, without reading the evictor's cache or
+	// pending set.
 	modGen uint64
 }
 

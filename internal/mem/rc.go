@@ -48,8 +48,6 @@ func (nm *nodeMem) rc() *rcState {
 // StoreWordRelaxed is the RC store path: it never blocks unless the write
 // buffer is full. Visibility is guaranteed only after a Fence (or an
 // atomic operation, which fences implicitly).
-//
-//lint:tilelocal node
 func (s *System) storeRelaxed(th *sim.Thread, node int, a Addr, v float64, bd *stats.Breakdown, bucket stats.TimeBucket) {
 	nm := s.nodes[node]
 	rc := nm.rc()
@@ -97,7 +95,7 @@ func (s *System) storeRelaxed(th *sim.Thread, node int, a Addr, v float64, bd *s
 		// buffer once the store's own fill lands in the cache).
 		pst, pgen := nm.cache.pfTake(i)
 		s.installLine(node, line, pst, pgen)
-		s.evs[node].PrefetchUseful++
+		s.ev.PrefetchUseful++
 		if pst == lineModified {
 			// Prefetched ownership: the store completes locally.
 			s.store.Poke(a, v)
@@ -132,12 +130,10 @@ func (s *System) chargeStoreIssue(th *sim.Thread, bd *stats.Breakdown) {
 }
 
 // wakeRC wakes all fence/full-buffer waiters to recheck their condition.
-//
-//lint:tilelocal node
 func (s *System) wakeRC(node int, rc *rcState) {
 	ws := rc.waiters
 	rc.waiters = nil
-	now := s.engAt(node).Now()
+	now := s.eng.Now()
 	for _, w := range ws {
 		w.bd.Add(w.bucket, now-w.start)
 		w.th.WakeAt(now)
@@ -146,8 +142,6 @@ func (s *System) wakeRC(node int, rc *rcState) {
 
 // Fence blocks until every buffered store by node has completed. A no-op
 // under sequential consistency (stores already blocked).
-//
-//lint:tilelocal node
 func (s *System) Fence(th *sim.Thread, node int, bd *stats.Breakdown, bucket stats.TimeBucket) {
 	if s.par.Consistency != RC {
 		return
@@ -162,8 +156,6 @@ func (s *System) Fence(th *sim.Thread, node int, bd *stats.Breakdown, bucket sta
 
 // rcForward returns the pending buffered value for a, if any (RC loads
 // must observe the node's own program order).
-//
-//lint:tilelocal node
 func (s *System) rcForward(node int, a Addr) (float64, bool) {
 	if s.par.Consistency != RC {
 		return 0, false

@@ -28,27 +28,14 @@ type System struct {
 	par   Params
 	store *Store
 	// nodes is per-node protocol state: cache, directory, controller
-	// pipeline, outstanding transactions. Element i belongs to the tile
-	// that owns node i; simlint's shardsafe check enforces that only
-	// code witnessed to run on that tile indexes it.
-	//lint:tileowned
+	// pipeline, outstanding transactions.
 	nodes []*nodeMem
-	// evs is per-node protocol event accounting. Each slot is only ever
-	// written from its node's engine context, so tiled runs count
-	// lock-free; Events sums across nodes.
-	//lint:tileowned
-	evs []stats.Events
-	// engOf, when non-nil, maps a node to its tile engine (tiled runs);
-	// nil means every node shares eng. See SetTileEngines.
-	engOf func(node int) *sim.Engine
+	ev    stats.Events
 
 	idealNet    bool
 	idealOneWay sim.Time
 
-	// trOf, when non-nil, routes trace events to the recording node's
-	// buffer. Serial runs route every node to one shared buffer; tiled
-	// runs hand out per-tile buffers so recording stays single-writer.
-	trOf func(node int) *trace.Buffer
+	tr *trace.Buffer // optional event trace
 
 	// Instruments, allocated by SetMetrics; nil when metrics are
 	// disabled. Purely passive.
@@ -58,26 +45,10 @@ type System struct {
 	mDirBusy  []*obs.Gauge   // high-water concurrently busy directory entries per home
 	mTxnOut   []*obs.Gauge   // high-water outstanding miss transactions per node
 	mTxnTotal *obs.Counter   // miss transactions started
-	// mScratch is per-node scratch for the machine-wide instruments
-	// above (miss histograms, transaction counter): recording sites run
-	// at the node's engine, so each slot has a single writer, and
-	// FinishMetrics folds the scratch into the registered instruments
-	// after the run. Merge order is immaterial (commutative), so
-	// snapshots are byte-identical at every worker count.
-	//lint:tileowned
-	mScratch []memScratch
 
 	// crit, when non-nil, receives the critical-path decomposition of
-	// miss waits and the miss/txn causal edges. All recording happens at
-	// the waiting node's (or home's) engine context, so it is tile-safe
-	// like mScratch.
+	// miss waits and the miss/txn causal edges.
 	crit *obs.CritRecorder
-}
-
-// memScratch is one node's share of the machine-wide memory instruments.
-type memScratch struct {
-	missRd, missWr, missPf obs.Histogram
-	txns                   int64
 }
 
 // SetMetrics registers the memory system's instruments on reg and begins
@@ -101,41 +72,10 @@ func (s *System) SetMetrics(reg *obs.Registry) {
 		s.mDirBusy[i] = reg.Gauge("mem_dir_busy_hw", l)
 		s.mTxnOut[i] = reg.Gauge("mem_txn_outstanding_hw", l)
 	}
-	s.mScratch = make([]memScratch, len(s.nodes))
 }
 
-// FinishMetrics folds the per-node scratch into the registered
-// machine-wide instruments. Call once after the run, before reading
-// snapshots; single-threaded (the tile engines have joined by then).
-func (s *System) FinishMetrics() {
-	if s.mScratch == nil {
-		return
-	}
-	for i := range s.mScratch {
-		sc := &s.mScratch[i]
-		s.mMissRd.Merge(&sc.missRd)
-		s.mMissWr.Merge(&sc.missWr)
-		s.mMissPf.Merge(&sc.missPf)
-		s.mTxnTotal.Add(sc.txns)
-		*sc = memScratch{}
-	}
-}
-
-// SetTrace attaches an event trace buffer shared by all nodes (nil
-// disables tracing). Serial engine only — for tiled runs use
-// SetTraceShards.
-func (s *System) SetTrace(tr *trace.Buffer) {
-	if tr == nil {
-		s.trOf = nil
-		return
-	}
-	s.trOf = func(int) *trace.Buffer { return tr }
-}
-
-// SetTraceShards attaches a per-node trace routing function; under the
-// tiled engine it must return the recording node's own tile buffer so
-// every buffer keeps a single writer.
-func (s *System) SetTraceShards(trOf func(node int) *trace.Buffer) { s.trOf = trOf }
+// SetTrace attaches an event trace buffer (nil disables tracing).
+func (s *System) SetTrace(tr *trace.Buffer) { s.tr = tr }
 
 // SetCritPath attaches a critical-path recorder (nil disables). Purely
 // passive: recording never perturbs protocol timing.
@@ -185,7 +125,6 @@ func NewSystem(eng *sim.Engine, net *mesh.Network, clk sim.Clock, par Params, st
 		panic(fmt.Sprintf("mem: %d nodes exceeds the %d-node sharer bitset capacity", store.Nodes(), MaxNodes))
 	}
 	s := &System{eng: eng, net: net, clk: clk, par: par, store: store}
-	s.evs = make([]stats.Events, store.Nodes())
 	s.nodes = make([]*nodeMem, store.Nodes())
 	for i := range s.nodes {
 		s.nodes[i] = &nodeMem{
@@ -211,34 +150,8 @@ func (s *System) Store() *Store { return s.store }
 // Params returns the memory parameters.
 func (s *System) Params() Params { return s.par }
 
-// SetTileEngines routes per-node work to tile engines: every event the
-// system schedules on behalf of node n goes to engOf(n). The serial
-// engine passed to NewSystem remains the default when engOf is nil.
-// Cross-node protocol messages still travel the mesh, whose banded walk
-// performs the engine handoff, so every callback here runs in the
-// context of the node it touches.
-func (s *System) SetTileEngines(engOf func(node int) *sim.Engine) {
-	s.engOf = engOf
-}
-
-// engAt returns the engine that executes node's events.
-//
-//lint:tileengine node
-func (s *System) engAt(node int) *sim.Engine {
-	if s.engOf != nil {
-		return s.engOf(node)
-	}
-	return s.eng
-}
-
 // Events returns the accumulated protocol event counters.
-func (s *System) Events() stats.Events {
-	var ev stats.Events
-	for i := range s.evs {
-		ev = ev.Plus(s.evs[i])
-	}
-	return ev
-}
+func (s *System) Events() stats.Events { return s.ev }
 
 func (s *System) cyc(n int64) sim.Time { return s.clk.Cycles(n) }
 
@@ -251,12 +164,9 @@ func (s *System) lineHome(line Addr) int {
 // pipelined: each operation's result is available HomeOccCycles after it
 // starts, but the controller accepts a new operation every
 // CtlServiceCycles (occupancy < latency, as in the CMMU).
-//
-//lint:tilelocal node
-//lint:tiletransfer fn@node
 func (s *System) atCtl(node int, fn func()) {
 	nm := s.nodes[node]
-	eng := s.engAt(node)
+	eng := s.eng
 	start := eng.Now()
 	if nm.ctlFree > start {
 		start = nm.ctlFree
@@ -268,15 +178,12 @@ func (s *System) atCtl(node int, fn func()) {
 // sendCoh moves a protocol message from src to dst and runs onDeliver at
 // arrival. Local (src==dst) messages bypass the network; ideal-network
 // mode replaces transit with the fixed one-way latency.
-//
-//lint:tilelocal src
-//lint:tiletransfer onDeliver@dst
 func (s *System) sendCoh(src, dst int, class mesh.Class, payloadBytes int, onDeliver func()) {
 	switch {
 	case src == dst:
-		s.engAt(src).After(0, onDeliver)
+		s.eng.After(0, onDeliver)
 	case s.idealNet:
-		s.engAt(src).After(s.idealOneWay, onDeliver)
+		s.eng.After(s.idealOneWay, onDeliver)
 	default:
 		s.net.Send(&mesh.Packet{
 			Src: src, Dst: dst, Class: class,
@@ -292,8 +199,6 @@ func (s *System) sendCoh(src, dst int, class mesh.Class, payloadBytes int, onDel
 
 // Load performs a blocking sequentially-consistent load by node's
 // processor thread th, charging stall time to bd's bucket.
-//
-//lint:tilelocal node
 func (s *System) Load(th *sim.Thread, node int, a Addr, bd *stats.Breakdown, bucket stats.TimeBucket) float64 {
 	if v, ok := s.rcForward(node, a); ok {
 		// Read-own-write forwarding from the write buffer.
@@ -308,8 +213,6 @@ func (s *System) Load(th *sim.Thread, node int, a Addr, bd *stats.Breakdown, buc
 
 // StoreWord performs a store: blocking under sequential consistency,
 // buffered under release consistency.
-//
-//lint:tilelocal node
 func (s *System) StoreWord(th *sim.Thread, node int, a Addr, v float64, bd *stats.Breakdown, bucket stats.TimeBucket) {
 	if s.par.Consistency == RC {
 		s.storeRelaxed(th, node, a, v, bd, bucket)
@@ -321,8 +224,6 @@ func (s *System) StoreWord(th *sim.Thread, node int, a Addr, v float64, bd *stat
 // RMW performs an atomic read-modify-write: fn is applied to the current
 // value at the moment write ownership is held. It returns the value fn
 // returned. Atomicity follows from per-line ownership serialization.
-//
-//lint:tilelocal node
 func (s *System) RMW(th *sim.Thread, node int, a Addr, fn func(float64) float64, bd *stats.Breakdown, bucket stats.TimeBucket) float64 {
 	s.Fence(th, node, bd, bucket) // atomics order buffered stores
 	var out float64
@@ -335,8 +236,6 @@ func (s *System) RMW(th *sim.Thread, node int, a Addr, fn func(float64) float64,
 // paper's producer-computes ICCG pattern, where a value and its presence
 // counter share a cache line and a single ownership acquisition covers
 // both.
-//
-//lint:tilelocal node
 func (s *System) Update(th *sim.Thread, node int, a Addr, fn func(), bd *stats.Breakdown, bucket stats.TimeBucket) {
 	s.Fence(th, node, bd, bucket) // atomics order buffered stores
 	s.accessEx(th, node, a, true, true, fn, bd, bucket)
@@ -344,10 +243,8 @@ func (s *System) Update(th *sim.Thread, node int, a Addr, fn func(), bd *stats.B
 
 // Prefetch issues a non-binding prefetch of a's line (write requests
 // exclusive ownership). It never blocks; the caller charges issue cost.
-//
-//lint:tilelocal node
 func (s *System) Prefetch(node int, a Addr, write bool) {
-	s.evs[node].PrefetchIssued++
+	s.ev.PrefetchIssued++
 	nm := s.nodes[node]
 	line := LineOf(a, s.par.LineWords)
 	if t := nm.pending[line]; t != nil {
@@ -370,15 +267,11 @@ func (s *System) Prefetch(node int, a Addr, write bool) {
 }
 
 // access is the common blocking path for loads, stores and RMWs.
-//
-//lint:tilelocal node
 func (s *System) access(th *sim.Thread, node int, a Addr, write bool, apply func(), bd *stats.Breakdown, bucket stats.TimeBucket) {
 	s.accessEx(th, node, a, write, false, apply, bd, bucket)
 }
 
 // accessEx is access with the atomicity requirement made explicit.
-//
-//lint:tilelocal node
 func (s *System) accessEx(th *sim.Thread, node int, a Addr, write, atomic bool, apply func(), bd *stats.Breakdown, bucket stats.TimeBucket) {
 	line := LineOf(a, s.par.LineWords)
 	nm := s.nodes[node]
@@ -399,7 +292,7 @@ func (s *System) accessEx(th *sim.Thread, node int, a Addr, write, atomic bool, 
 				// Join the in-flight transaction.
 				if t.prefetch {
 					t.prefetch = false
-					s.evs[node].PrefetchUseful++
+					s.ev.PrefetchUseful++
 				}
 				if apply != nil {
 					t.onComplete = append(t.onComplete, apply)
@@ -430,7 +323,7 @@ func (s *System) accessEx(th *sim.Thread, node int, a Addr, write, atomic bool, 
 				// Satisfied from the prefetch buffer: move into cache.
 				_, pgen := nm.cache.pfTake(i)
 				s.installLine(node, line, pst, pgen)
-				s.evs[node].PrefetchUseful++
+				s.ev.PrefetchUseful++
 				d := s.cyc(s.par.PrefetchMoveCycles)
 				bd.Add(bucket, d)
 				th.Sleep(d)
@@ -443,12 +336,12 @@ func (s *System) accessEx(th *sim.Thread, node int, a Addr, write, atomic bool, 
 			// cache as shared, then fall through to an upgrade miss.
 			nm.cache.pfTake(i)
 			s.installLine(node, line, lineShared, 0)
-			s.evs[node].PrefetchUseful++
+			s.ev.PrefetchUseful++
 			st = lineShared
 		}
 
 		if write && st == lineShared {
-			s.evs[node].Upgrades++
+			s.ev.Upgrades++
 		}
 		t := s.startTxn(node, line, write, false)
 		t.atomic = atomic
@@ -469,8 +362,6 @@ func (s *System) wait(t *txn, th *sim.Thread, bd *stats.Breakdown, bucket stats.
 
 // installLine places a line into node's cache, emitting any victim
 // write-back.
-//
-//lint:tilelocal node
 func (s *System) installLine(node int, line Addr, st lineState, gen uint64) {
 	victim, dirty, victimGen := s.nodes[node].cache.fill(line, st, gen)
 	if victim != NilAddr && dirty {
@@ -484,21 +375,19 @@ func (s *System) installLine(node int, line Addr, st lineState, gen uint64) {
 
 // startTxn opens a miss transaction at node and routes the request to
 // the line's home controller.
-//
-//lint:tilelocal node
 func (s *System) startTxn(node int, line Addr, write, prefetch bool) *txn {
-	eng := s.engAt(node)
-	if s.trOf != nil {
+	eng := s.eng
+	if s.tr != nil {
 		w := int64(0)
 		if write {
 			w = 1
 		}
-		s.trOf(node).Add(trace.Event{At: eng.Now(), Node: node, Kind: trace.KMissStart, A: int64(line), B: w})
+		s.tr.Add(trace.Event{At: eng.Now(), Node: node, Kind: trace.KMissStart, A: int64(line), B: w})
 	}
 	t := &txn{line: line, write: write, node: node, prefetch: prefetch, start: eng.Now()}
 	s.nodes[node].pending[line] = t
-	if len(s.mScratch) > 0 {
-		s.mScratch[node].txns++
+	if s.mTxnTotal != nil {
+		s.mTxnTotal.Inc()
 		s.mTxnOut[node].SetMax(int64(len(s.nodes[node].pending)))
 	}
 	home := s.lineHome(line)
@@ -520,8 +409,6 @@ func (s *System) startTxn(node int, line Addr, write, prefetch bool) *txn {
 // service (busy), later arrivals park in a strict FIFO queue. release
 // pops exactly one queued request per completion, so no requester can
 // starve behind faster re-requesters.
-//
-//lint:tilelocal home
 func (s *System) homeDispatch(home, req int, line Addr, write bool, t *txn) {
 	e := s.nodes[home].dir.entry(line)
 	if e.busy {
@@ -539,8 +426,6 @@ func (s *System) homeDispatch(home, req int, line Addr, write bool, t *txn) {
 
 // homeProcess services one request; e.busy is held by the caller and
 // released via s.release at every terminal point.
-//
-//lint:tilelocal home
 func (s *System) homeProcess(home, req int, line Addr, write bool, t *txn, e *dirEntry) {
 	if e.state == dirModified && e.owner != req {
 		if e.owner == home {
@@ -548,9 +433,9 @@ func (s *System) homeProcess(home, req int, line Addr, write bool, t *txn, e *di
 			// line from its processor's cache inline — no network, no
 			// extra controller passes (Alewife's 2-party dirty case).
 			serve := func() {
-				s.evs[home].RemoteMissesDty++
+				s.ev.RemoteMissesDty++
 				if write {
-					s.evs[home].Invalidations++
+					s.ev.Invalidations++
 					s.nodes[home].cache.invalidate(line)
 					e.state = dirModified
 					e.owner = req
@@ -582,12 +467,12 @@ func (s *System) homeProcess(home, req int, line Addr, write bool, t *txn, e *di
 		}
 		// Dirty at a third party: fetch (and for writes, invalidate) the
 		// owner's copy.
-		s.evs[home].RemoteMissesDty++
+		s.ev.RemoteMissesDty++
 		owner := e.owner
 		class := mesh.ClassCohReq
 		if write {
 			class = mesh.ClassCohInval
-			s.evs[home].Invalidations++
+			s.ev.Invalidations++
 		}
 		s.sendCoh(home, owner, class, 0, func() {
 			s.atCtl(owner, func() { s.ownerFetch(owner, home, req, line, write, t) })
@@ -607,7 +492,7 @@ func (s *System) homeProcess(home, req int, line Addr, write bool, t *txn, e *di
 		s.countMiss(home, req, false)
 		extra := sim.Time(0)
 		if e.sharers.count() >= s.par.HWPointers {
-			s.evs[home].LimitLESSTraps++
+			s.ev.LimitLESSTraps++
 			extra = s.cyc(s.par.LimitLESSCycles)
 		}
 		e.state = dirShared
@@ -639,14 +524,14 @@ func (s *System) homeProcess(home, req int, line Addr, write bool, t *txn, e *di
 	}
 	extra := sim.Time(0)
 	if shs.count() >= s.par.HWPointers {
-		s.evs[home].LimitLESSTraps++
+		s.ev.LimitLESSTraps++
 		// Software walks the overflow directory and invalidates each
 		// sharer: a fixed trap cost plus a per-sharer term.
 		extra = s.cyc(s.par.LimitLESSCycles + s.par.LimitLESSPerSharerCycles*int64(shs.count()))
 	}
 	acks := shs.count()
 	shs.forEach(func(sh int) {
-		s.evs[home].Invalidations++
+		s.ev.Invalidations++
 		s.sendCoh(home, sh, mesh.ClassCohInval, 0, func() {
 			s.atCtl(sh, func() {
 				s.invalidateAt(sh, line, func() {
@@ -672,16 +557,14 @@ func (s *System) homeProcess(home, req int, line Addr, write bool, t *txn, e *di
 }
 
 // countMiss classifies a (non-dirty-path) miss as local or remote-clean.
-//
-//lint:tilelocal home
 func (s *System) countMiss(home, req int, dirty bool) {
 	switch {
 	case dirty:
-		s.evs[home].RemoteMissesDty++
+		s.ev.RemoteMissesDty++
 	case req == home:
-		s.evs[home].LocalMisses++
+		s.ev.LocalMisses++
 	default:
-		s.evs[home].RemoteMissesCln++
+		s.ev.RemoteMissesCln++
 	}
 }
 
@@ -690,8 +573,6 @@ func (s *System) countMiss(home, req int, dirty bool) {
 // 24-byte data reply in the network; acking first would install a stale
 // shared copy). Deferral is safe only for granted read transactions,
 // which complete independently of the invalidation round.
-//
-//lint:tilelocal node
 func (s *System) invalidateAt(node int, line Addr, ack func()) {
 	nm := s.nodes[node]
 	if t := nm.pending[line]; t != nil && !t.write && t.granted {
@@ -701,8 +582,8 @@ func (s *System) invalidateAt(node int, line Addr, ack func()) {
 		})
 		return
 	}
-	if s.trOf != nil {
-		s.trOf(node).Add(trace.Event{At: s.engAt(node).Now(), Node: node, Kind: trace.KInval, A: int64(line)})
+	if s.tr != nil {
+		s.tr.Add(trace.Event{At: s.eng.Now(), Node: node, Kind: trace.KInval, A: int64(line)})
 	}
 	nm.cache.invalidate(line)
 	ack()
@@ -712,8 +593,6 @@ func (s *System) invalidateAt(node int, line Addr, ack func()) {
 // copy. If the owner's own write grant is still in flight, the fetch
 // defers until the fill completes (ownership must be observed before it
 // can be taken away).
-//
-//lint:tilelocal owner
 func (s *System) ownerFetch(owner, home, req int, line Addr, write bool, t *txn) {
 	nm := s.nodes[owner]
 	if ot := nm.pending[line]; ot != nil && ot.write && ot.granted {
@@ -726,8 +605,6 @@ func (s *System) ownerFetch(owner, home, req int, line Addr, write bool, t *txn)
 }
 
 // ownerFetchNow surrenders the owner's dirty copy immediately.
-//
-//lint:tilelocal owner
 func (s *System) ownerFetchNow(owner, home, req int, line Addr, write bool, t *txn) {
 	nm := s.nodes[owner]
 	if write {
@@ -763,8 +640,6 @@ func (s *System) ownerFetchNow(owner, home, req int, line Addr, write bool, t *t
 // data is pushed to every sharer (which keeps its copy), acks return, and
 // the writer is granted a SHARED copy — its next store to the line pays
 // another round trip, and its readers never refetch.
-//
-//lint:tilelocal home
 func (s *System) updateRound(home, req int, line Addr, t *txn, e *dirEntry, shs sharerSet) {
 	e.state = dirShared
 	e.sharers.add(req)
@@ -795,8 +670,6 @@ func (s *System) updateRound(home, req int, line Addr, t *txn, e *dirEntry, shs 
 
 // grant sends the data reply to the requestor after DRAM access (plus any
 // LimitLESS software penalty) and marks the transaction granted.
-//
-//lint:tilelocal home
 func (s *System) grant(home, req int, line Addr, write bool, t *txn, extra sim.Time) {
 	st := lineShared
 	if write {
@@ -807,14 +680,12 @@ func (s *System) grant(home, req int, line Addr, write bool, t *txn, extra sim.T
 
 // grantState is grant with an explicit final cache state for the
 // requestor (the update protocol grants writes as shared).
-//
-//lint:tilelocal home
 func (s *System) grantState(home, req int, line Addr, st lineState, t *txn, extra sim.Time) {
 	t.granted = true
 	if s.crit != nil {
 		// Directory txn begin→grant edge, recorded at the home (the grant
 		// side); the requester-side view is the later miss→fill edge.
-		s.crit.Edge(home, obs.CritEdge{Kind: "txn", Src: t.node, Dst: home, Start: t.start, End: s.engAt(home).Now()})
+		s.crit.Edge(obs.CritEdge{Kind: "txn", Src: t.node, Dst: home, Start: t.start, End: s.eng.Now()})
 	}
 	delay := s.cyc(s.par.DRAMCycles) + extra
 	if req == home {
@@ -824,16 +695,16 @@ func (s *System) grantState(home, req int, line Addr, st lineState, t *txn, extr
 		if rest < 0 {
 			rest = 0
 		}
-		s.engAt(req).After(s.cyc(rest)+extra, func() {
+		s.eng.After(s.cyc(rest)+extra, func() {
 			s.completeTxn(req, line, st, t)
 		})
 		return
 	}
 	// The DRAM delay elapses at home; the reply's delivery callback (and
 	// so the fill timer) runs at the requestor.
-	s.engAt(home).After(delay, func() {
+	s.eng.After(delay, func() {
 		s.sendCoh(home, req, mesh.ClassCohData, s.par.LineBytes, func() {
-			s.engAt(req).After(s.cyc(s.par.FillCycles), func() {
+			s.eng.After(s.cyc(s.par.FillCycles), func() {
 				s.completeTxn(req, line, st, t)
 			})
 		})
@@ -843,8 +714,6 @@ func (s *System) grantState(home, req int, line Addr, st lineState, t *txn, extr
 // release finishes one request's service: it hands the entry to the
 // oldest queued request (keeping busy held across the handoff so fresh
 // arrivals cannot jump the queue) or marks the entry idle.
-//
-//lint:tilelocal home
 func (s *System) release(home int, e *dirEntry) {
 	if len(e.queue) > 0 {
 		f := e.queue[0]
@@ -860,15 +729,13 @@ func (s *System) release(home int, e *dirEntry) {
 
 // completeTxn installs the line, runs deferred operations, and wakes
 // waiting threads.
-//
-//lint:tilelocal node
 func (s *System) completeTxn(node int, line Addr, st lineState, t *txn) {
-	eng := s.engAt(node)
+	eng := s.eng
 	nm := s.nodes[node]
 	if t.prefetch {
 		evicted, dirty, evictedGen := nm.cache.pfFill(line, st, t.gen)
 		if evicted != NilAddr {
-			s.evs[node].PrefetchUseless++
+			s.ev.PrefetchUseless++
 			if dirty {
 				s.writeback(node, evicted, evictedGen)
 			}
@@ -877,19 +744,19 @@ func (s *System) completeTxn(node int, line Addr, st lineState, t *txn) {
 		s.installLine(node, line, st, t.gen)
 	}
 	delete(nm.pending, line)
-	if len(s.mScratch) > 0 {
+	if s.mMissRd != nil {
 		lat := s.clk.ToCycles(eng.Now() - t.start)
 		switch {
 		case t.prefetch:
-			s.mScratch[node].missPf.Observe(lat)
+			s.mMissPf.Observe(lat)
 		case t.write:
-			s.mScratch[node].missWr.Observe(lat)
+			s.mMissWr.Observe(lat)
 		default:
-			s.mScratch[node].missRd.Observe(lat)
+			s.mMissRd.Observe(lat)
 		}
 	}
-	if s.trOf != nil {
-		s.trOf(node).Add(trace.Event{At: eng.Now(), Node: node, Kind: trace.KMissEnd, A: int64(line)})
+	if s.tr != nil {
+		s.tr.Add(trace.Event{At: eng.Now(), Node: node, Kind: trace.KMissEnd, A: int64(line)})
 	}
 	for _, f := range t.onComplete {
 		f()
@@ -912,8 +779,6 @@ func (s *System) completeTxn(node int, line Addr, st lineState, t *txn) {
 // occupancy, invalidation rounds — is network bandwidth/occupancy.
 // Waits charged to buckets other than mem-wait (synchronization spins)
 // are left whole, matching the paper's bucket convention.
-//
-//lint:tilelocal node
 func (s *System) critComplete(node int, line Addr, t *txn, now sim.Time) {
 	home := s.lineHome(line)
 	var latRaw, fixed sim.Time
@@ -948,15 +813,13 @@ func (s *System) critComplete(node int, line Addr, t *txn, now sim.Time) {
 		s.crit.MissWait(node, lat, bw)
 	}
 	lat, bw := split(now - t.start)
-	s.crit.Edge(node, obs.CritEdge{Kind: "miss", Src: home, Dst: node, Start: t.start, End: now, Lat: lat, BW: bw})
+	s.crit.Edge(obs.CritEdge{Kind: "miss", Src: home, Dst: node, Start: t.start, End: now, Lat: lat, BW: bw})
 }
 
 // writeback returns a dirty evicted line to its home. gen is the
 // ownership generation the evicted copy was granted under.
-//
-//lint:tilelocal node
 func (s *System) writeback(node int, line Addr, gen uint64) {
-	s.evs[node].WriteBacks++
+	s.ev.WriteBacks++
 	home := s.lineHome(line)
 	s.sendCoh(node, home, mesh.ClassCohData, s.par.LineBytes, func() {
 		s.atCtl(home, func() {
@@ -970,8 +833,8 @@ func (s *System) writeback(node int, line Addr, gen uint64) {
 			// (If a re-acquisition is merely in flight, clearing is
 			// harmless: the request then finds the line uncached, exactly
 			// as if it had been sent after the write-back landed. The
-			// generation check keeps this decision home-local — the
-			// evictor's cache and pending set may live on another tile.)
+			// generation check keeps this decision home-local: it reads no
+			// evictor-side state.)
 			if !e.busy && e.state == dirModified && e.owner == node &&
 				e.modGen == gen {
 				e.state = dirUncached

@@ -125,15 +125,8 @@ func (c Config) BisectionBytesPerCycle(clk sim.Clock) float64 {
 
 // Network is a simulated 2-D mesh.
 type Network struct {
-	// engs[b] executes all traffic while it is inside row band b, and
-	// bandOfRow maps a mesh row to its band; a row's links (its X links
-	// plus the Y links leaving it) are reserved and accounted only by the
-	// band's engine. An untiled network has a single band — engs[0] is
-	// the engine passed to New — and the segmented walk in Send then
-	// collapses to one eager in-line walk. See SetTiles.
-	engs      []*sim.Engine
-	bandOfRow []int
-	cfg       Config
+	eng *sim.Engine
+	cfg Config
 
 	// busyUntil[d][i] is the reservation horizon of directed link i in
 	// direction d. X links: index y*(Width-1)+x for the link between
@@ -146,10 +139,15 @@ type Network struct {
 
 	endpoints []Endpoint
 
-	// bc is per-band traffic accounting; each band's counters are only
-	// written by its own engine, and the public accessors sum across
-	// bands.
-	bc []bandCounters
+	// Volume accounting (application traffic).
+	vol stats.Volume
+	// Cross-traffic accounting.
+	xPackets, xBytes int64
+	// Bytes that crossed the X-dimension bisection, by app vs cross.
+	appBisectionBytes, xBisectionBytes int64
+
+	packetsSent int64
+	retries     int64
 
 	stopX bool // stops cross-traffic generators
 
@@ -167,26 +165,6 @@ type Network struct {
 	mBusy  [4][]*obs.Counter // serialization time per link, ps
 	mWait  [4][]*obs.Gauge   // high-water head wait (queueing delay), ps
 	mQueue *obs.Histogram    // head wait distribution across all hops, ps
-	// mQBand is per-band scratch for mQueue: every link is reserved only
-	// by its owning band's engine, so each scratch histogram has a single
-	// writer, and FinishMetrics folds them into mQueue after the run
-	// (merge is commutative, so the snapshot is identical at every worker
-	// count). Indexed like bc.
-	mQBand []obs.Histogram
-}
-
-// bandCounters is one row band's share of the network's traffic
-// accounting.
-type bandCounters struct {
-	// vol is application traffic volume by kind.
-	vol stats.Volume
-	// Cross-traffic accounting.
-	xPackets, xBytes int64
-	// Bytes that crossed the X-dimension bisection, by app vs cross.
-	appBisectionBytes, xBisectionBytes int64
-
-	packetsSent int64
-	retries     int64
 }
 
 // FaultInjector perturbs network behaviour deterministically. It is
@@ -211,8 +189,7 @@ func (n *Network) SetFaultInjector(fi FaultInjector) { n.fault = fi }
 // carries its own seed and spec (machine.Config.NoiseSpec).
 type NoiseInjector interface {
 	// PacketDelay returns the extra delivery delay for the next packet
-	// from src to dst. Called exactly once per packet, in delivery order
-	// (serial engine only).
+	// from src to dst. Called exactly once per packet, in delivery order.
 	PacketDelay(src, dst int) sim.Time
 }
 
@@ -254,20 +231,6 @@ func (n *Network) SetMetrics(reg *obs.Registry) {
 		}
 	}
 	n.mQueue = reg.Histogram("mesh_hop_wait_ps", "")
-	n.mQBand = make([]obs.Histogram, len(n.bc))
-}
-
-// FinishMetrics folds per-band scratch instruments into the registered
-// registry entries. Call once after the run, before reading snapshots;
-// single-threaded (the tile engines have joined by then).
-func (n *Network) FinishMetrics() {
-	if n.mQueue == nil {
-		return
-	}
-	for i := range n.mQBand {
-		n.mQueue.Merge(&n.mQBand[i])
-		n.mQBand[i] = obs.Histogram{}
-	}
 }
 
 // New creates a mesh network. All endpoints default to AcceptAll.
@@ -278,12 +241,7 @@ func New(eng *sim.Engine, cfg Config) *Network {
 	if cfg.PsPerByte <= 0 {
 		panic("mesh: PsPerByte must be positive")
 	}
-	n := &Network{
-		engs:      []*sim.Engine{eng},
-		bandOfRow: make([]int, cfg.Height),
-		bc:        make([]bandCounters, 1),
-		cfg:       cfg,
-	}
+	n := &Network{eng: eng, cfg: cfg}
 	nx := (cfg.Width - 1) * cfg.Height
 	ny := cfg.Width * (cfg.Height - 1)
 	if cfg.Torus {
@@ -306,40 +264,6 @@ func New(eng *sim.Engine, cfg Config) *Network {
 
 // Config returns the network configuration.
 func (n *Network) Config() Config { return n.cfg }
-
-// SetTiles partitions execution across engines for the tiled parallel
-// engine: row y's links are owned by engs[bandOfRow[y]], and a packet's
-// walk hops engines (via sim.Engine.CrossAt) whenever it crosses a band
-// boundary, so link state stays single-writer without locks. bandOfRow
-// must assign every row a band, non-decreasing from 0 through
-// len(engs)-1, so bands are contiguous row ranges. Because every band
-// reserves at least one link — at least one HopLatency of simulated
-// time — before a packet can leave it, HopLatency is a safe lookahead
-// for the group's conservative windows.
-func (n *Network) SetTiles(bandOfRow []int, engs []*sim.Engine) {
-	if len(bandOfRow) != n.cfg.Height {
-		panic(fmt.Sprintf("mesh: bandOfRow covers %d rows, mesh has %d", len(bandOfRow), n.cfg.Height))
-	}
-	prev := 0
-	for y, b := range bandOfRow {
-		if b < prev || b >= len(engs) {
-			panic(fmt.Sprintf("mesh: bad band %d for row %d", b, y))
-		}
-		prev = b
-	}
-	if bandOfRow[0] != 0 || prev != len(engs)-1 {
-		panic(fmt.Sprintf("mesh: %d bands must cover rows contiguously from band 0", len(engs)))
-	}
-	n.engs = append([]*sim.Engine(nil), engs...)
-	n.bandOfRow = append([]int(nil), bandOfRow...)
-	n.bc = make([]bandCounters, len(engs))
-	if n.mQueue != nil {
-		n.mQBand = make([]obs.Histogram, len(engs))
-	}
-}
-
-// bandOf returns the band owning a node's row.
-func (n *Network) bandOf(node int) int { return n.bandOfRow[node/n.cfg.Width] }
 
 // Nodes returns the number of routers (compute endpoints).
 func (n *Network) Nodes() int { return n.cfg.Width * n.cfg.Height }
@@ -411,17 +335,13 @@ func abs(v int) int {
 // packet is routed X-then-Y; its Deliver callback (if any) runs when the
 // destination endpoint accepts it. The returned time is when the packet's
 // head actually enters its first link — under congestion this lags Now,
-// which senders use to model finite output-queue depth. The first link
-// is always owned by the sender's own band, so the departure time is
-// resolved synchronously even when the rest of the walk continues on
-// other engines.
+// which senders use to model finite output-queue depth.
 func (n *Network) Send(p *Packet) sim.Time {
-	band := n.bandOf(p.Src)
-	now := n.engs[band].Now()
-	n.bc[band].packetsSent++
-	n.account(band, p)
+	now := n.eng.Now()
+	n.packetsSent++
+	n.account(p)
 
-	wk := &walk{
+	wk := walk{
 		p:      p,
 		size:   sim.Time(p.Size()) * n.cfg.PsPerByte,
 		head:   now,
@@ -432,15 +352,22 @@ func (n *Network) Send(p *Packet) sim.Time {
 	wk.dx, wk.dy = n.XY(p.Dst)
 	wk.yFirst = n.cfg.AdaptiveXY && wk.x != wk.dx && wk.y != wk.dy &&
 		n.yFirstFreer(wk.x, wk.y, wk.dx, wk.dy)
-	n.walkFrom(band, wk)
+	for {
+		d, idx, ok := n.nextLink(&wk)
+		if !ok {
+			break
+		}
+		wk.head = n.reserve(d, idx, wk.head, wk.size)
+		if wk.first {
+			wk.depart, wk.first = wk.head-n.cfg.HopLatency, false
+		}
+	}
+	n.finish(&wk)
 	return wk.depart
 }
 
-// walk is one packet's in-flight routing state. The route advances link
-// by link inside the band that owns each link and hands off to the next
-// band's engine at band boundaries, so every reservation is made by its
-// owner. With one band the whole walk runs inline in Send and
-// reproduces the eager single-engine behaviour event for event.
+// walk is one packet's in-flight routing state, advanced link by link
+// by nextLink.
 type walk struct {
 	p      *Packet
 	size   sim.Time
@@ -454,29 +381,6 @@ type walk struct {
 }
 
 func (wk *walk) arrived() bool { return wk.x == wk.dx && wk.y == wk.dy }
-
-// walkFrom advances wk through every link owned by band. When the walk
-// leaves the band it resumes on the next band's engine at the head's
-// arrival time; the handoff always follows at least one reservation in
-// this band, so it lands at least one HopLatency past this engine's now
-// — within the tiled engine's lookahead bound.
-func (n *Network) walkFrom(band int, wk *walk) {
-	for {
-		if b := n.bandOfRow[wk.y]; b != band && !wk.arrived() {
-			n.engs[band].CrossAt(n.engs[b], wk.head, func() { n.walkFrom(b, wk) })
-			return
-		}
-		d, idx, ok := n.nextLink(wk)
-		if !ok {
-			break
-		}
-		wk.head = n.reserve(band, d, idx, wk.head, wk.size)
-		if wk.first {
-			wk.depart, wk.first = wk.head-n.cfg.HopLatency, false
-		}
-	}
-	n.finish(band, wk)
-}
 
 // nextLink picks the packet's next directed link per dimension-ordered
 // routing (X then Y, or Y then X when the adaptive choice flipped),
@@ -535,16 +439,15 @@ func (n *Network) nextLink(wk *walk) (d, idx int, ok bool) {
 	return 0, 0, false
 }
 
-// finish completes an arrived walk in its final band: bisection
-// accounting, tail timing, and delivery scheduling on the destination
-// node's engine.
-func (n *Network) finish(band int, wk *walk) {
+// finish completes an arrived walk: bisection accounting, tail timing,
+// and delivery scheduling.
+func (n *Network) finish(wk *walk) {
 	p := wk.p
 	if wk.cross {
 		if p.Class == ClassXTraffic {
-			n.bc[band].xBisectionBytes += int64(p.Size())
+			n.xBisectionBytes += int64(p.Size())
 		} else {
-			n.bc[band].appBisectionBytes += int64(p.Size())
+			n.appBisectionBytes += int64(p.Size())
 		}
 	}
 	// Head passes the routers plus the ejection stage; the tail follows
@@ -556,13 +459,7 @@ func (n *Network) finish(band int, wk *walk) {
 	if n.noise != nil {
 		tail += n.noise.PacketDelay(p.Src, p.Dst)
 	}
-	if db := n.bandOf(p.Dst); db != band {
-		// A walk whose last link ends on the first row of another band
-		// delivers there.
-		n.engs[band].CrossAt(n.engs[db], tail, func() { n.deliver(p) })
-	} else {
-		n.engs[band].At(tail, func() { n.deliver(p) })
-	}
+	n.eng.At(tail, func() { n.deliver(p) })
 }
 
 // yFirstFreer reports whether the first Y-direction link out of (x,y) is
@@ -602,10 +499,8 @@ func (n *Network) yFirstFreer(x, y, dx, dy int) bool {
 }
 
 // reserve occupies directed link (d, idx) from the head's arrival and
-// returns when the head reaches the next router. band is the owning row
-// band (the caller's engine context), used to shard the hop-wait
-// histogram.
-func (n *Network) reserve(band, d, idx int, head, size sim.Time) sim.Time {
+// returns when the head reaches the next router.
+func (n *Network) reserve(d, idx int, head, size sim.Time) sim.Time {
 	start := head
 	if bu := n.busyUntil[d][idx]; bu > start {
 		start = bu
@@ -622,7 +517,7 @@ func (n *Network) reserve(band, d, idx int, head, size sim.Time) sim.Time {
 		n.mBusy[d][idx].Add(int64(size))
 		wait := int64(start - head)
 		n.mWait[d][idx].SetMax(wait)
-		n.mQBand[band].Observe(wait)
+		n.mQueue.Observe(wait)
 	}
 	return start + n.cfg.HopLatency
 }
@@ -652,84 +547,51 @@ func (n *Network) deliver(p *Packet) {
 		// disturbing the compute node's network interface.
 		return
 	}
-	band := n.bandOf(p.Dst)
-	eng := n.engs[band]
 	ep := n.endpoints[p.Dst]
-	ok, retryAt := ep.TryDeliver(eng.Now(), p)
+	ok, retryAt := ep.TryDeliver(n.eng.Now(), p)
 	if ok {
 		return
 	}
-	n.bc[band].retries++
-	if retryAt <= eng.Now() {
-		retryAt = eng.Now() + n.cfg.HopLatency
+	n.retries++
+	if retryAt <= n.eng.Now() {
+		retryAt = n.eng.Now() + n.cfg.HopLatency
 	}
-	eng.At(retryAt, func() { n.deliver(p) })
+	n.eng.At(retryAt, func() { n.deliver(p) })
 }
 
-func (n *Network) account(band int, p *Packet) {
-	bc := &n.bc[band]
+func (n *Network) account(p *Packet) {
 	if p.Class == ClassXTraffic {
-		bc.xPackets++
-		bc.xBytes += int64(p.Size())
+		n.xPackets++
+		n.xBytes += int64(p.Size())
 		return
 	}
 	switch p.Class {
 	case ClassCohReq, ClassCohAck:
-		bc.vol.Add(stats.VolRequests, int64(p.Size()))
+		n.vol.Add(stats.VolRequests, int64(p.Size()))
 	case ClassCohInval:
-		bc.vol.Add(stats.VolInvalidates, int64(p.Size()))
+		n.vol.Add(stats.VolInvalidates, int64(p.Size()))
 	case ClassCohData, ClassAM, ClassBulk:
-		bc.vol.Add(stats.VolHeaders, int64(p.HdrBytes))
-		bc.vol.Add(stats.VolData, int64(p.PayloadBytes))
+		n.vol.Add(stats.VolHeaders, int64(p.HdrBytes))
+		n.vol.Add(stats.VolData, int64(p.PayloadBytes))
 	}
 }
 
 // Volume returns accumulated application traffic volume by kind.
-func (n *Network) Volume() stats.Volume {
-	var v stats.Volume
-	for i := range n.bc {
-		for k, b := range n.bc[i].vol.Bytes {
-			v.Bytes[k] += b
-		}
-	}
-	return v
-}
+func (n *Network) Volume() stats.Volume { return n.vol }
 
 // PacketsSent returns the count of application and cross-traffic packets.
-func (n *Network) PacketsSent() int64 {
-	var t int64
-	for i := range n.bc {
-		t += n.bc[i].packetsSent
-	}
-	return t
-}
+func (n *Network) PacketsSent() int64 { return n.packetsSent }
 
 // Retries returns how many endpoint deliveries were back-pressured.
-func (n *Network) Retries() int64 {
-	var t int64
-	for i := range n.bc {
-		t += n.bc[i].retries
-	}
-	return t
-}
+func (n *Network) Retries() int64 { return n.retries }
 
 // CrossTrafficStats returns injected cross-traffic packet and byte counts.
-func (n *Network) CrossTrafficStats() (packets, bytes int64) {
-	for i := range n.bc {
-		packets += n.bc[i].xPackets
-		bytes += n.bc[i].xBytes
-	}
-	return packets, bytes
-}
+func (n *Network) CrossTrafficStats() (packets, bytes int64) { return n.xPackets, n.xBytes }
 
 // BisectionCrossings returns bytes that crossed the mesh's X bisection,
 // split into application and cross-traffic bytes.
 func (n *Network) BisectionCrossings() (app, cross int64) {
-	for i := range n.bc {
-		app += n.bc[i].appBisectionBytes
-		cross += n.bc[i].xBisectionBytes
-	}
-	return app, cross
+	return n.appBisectionBytes, n.xBisectionBytes
 }
 
 // CrossTraffic describes the paper's bisection-emulation workload: I/O
@@ -753,17 +615,12 @@ func (n *Network) StartCrossTraffic(ct CrossTraffic, clk sim.Clock) {
 	if n.cfg.Torus {
 		panic("mesh: cross-traffic bisection emulation requires a mesh (the paper's topology)")
 	}
-	if len(n.engs) > 1 {
-		// Generators share one stop flag and tick on a single engine;
-		// the machine layer gates cross-traffic runs to the serial path.
-		panic("mesh: cross-traffic generators require the serial engine")
-	}
 	if ct.BytesPerCycle <= 0 || ct.MsgBytes <= 0 {
 		return
 	}
 	n.stopX = false
 	gens := 2 * n.cfg.Height
-	//lint:allow simlint/intmath one-time generator-period setup, latched as integer Time before any event runs; cross-traffic also forces the serial engine
+	//lint:allow simlint/intmath one-time generator-period setup, latched as integer Time before any event runs
 	perGen := ct.BytesPerCycle / float64(gens)
 	//lint:allow simlint/intmath one-time generator-period setup, latched as integer Time before any event runs
 	periodCycles := float64(ct.MsgBytes) / perGen
@@ -794,9 +651,9 @@ func (n *Network) scheduleXGen(src, dst, size int, period, offset sim.Time) {
 			Src: src, Dst: dst, Class: ClassXTraffic,
 			HdrBytes: 8, PayloadBytes: size - 8,
 		})
-		n.engs[0].After(period, tick)
+		n.eng.After(period, tick)
 	}
-	n.engs[0].After(offset, tick)
+	n.eng.After(offset, tick)
 }
 
 // StopCrossTraffic halts all cross-traffic generators after their next

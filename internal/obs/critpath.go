@@ -86,52 +86,31 @@ func (b *critRing) edges() []CritEdge {
 // CritRecorder accumulates the dependency information the critical-path
 // pass needs: per-node reclassification totals (how much of each node's
 // mem-wait and sync bucket time was really network latency or network
-// bandwidth) and a bounded per-tile ring of causal edges. Every method
-// is called at the affected node's context, so under the tiled engine
-// each slot has a single writer — the node's tile — and the recorder
-// is shard-safe without locks; rings are merged deterministically after
-// the run.
+// bandwidth) and a bounded ring of causal edges.
 type CritRecorder struct {
 	// latMem/bwMem: picoseconds reclassified out of BucketMemWait into
-	// network latency / bandwidth for each node. Single-writer per node.
+	// network latency / bandwidth for each node.
 	latMem, bwMem []sim.Time
 	// latSync/bwSync: same, reclassified out of BucketSync (awaited
 	// message transit time).
 	latSync, bwSync []sim.Time
-	rings           []*critRing
-	tileOf          []int // node -> ring index; nil means one ring
+	ring            critRing
 }
 
-// DefaultCritEdgeCap bounds each tile's edge ring. Edges are a strict
-// subset of protocol events, so this is sized like a trace buffer.
+// DefaultCritEdgeCap bounds the edge ring. Edges are a strict subset of
+// protocol events, so this is sized like a trace buffer.
 const DefaultCritEdgeCap = 4096
 
-// NewCritRecorder sizes a recorder for nodes processors partitioned by
-// tileOf (node -> tile index; nil or empty means a single serial ring)
-// with edgeCap edges retained per tile.
-func NewCritRecorder(nodes int, tileOf []int, edgeCap int) *CritRecorder {
-	tiles := 1
-	if len(tileOf) > 0 {
-		for _, t := range tileOf {
-			if t+1 > tiles {
-				tiles = t + 1
-			}
-		}
-	} else {
-		tileOf = nil
-	}
-	r := &CritRecorder{
+// NewCritRecorder sizes a recorder for nodes processors with edgeCap
+// edges retained.
+func NewCritRecorder(nodes int, edgeCap int) *CritRecorder {
+	return &CritRecorder{
 		latMem:  make([]sim.Time, nodes),
 		bwMem:   make([]sim.Time, nodes),
 		latSync: make([]sim.Time, nodes),
 		bwSync:  make([]sim.Time, nodes),
-		rings:   make([]*critRing, tiles),
-		tileOf:  tileOf,
+		ring:    critRing{ring: make([]CritEdge, 0, edgeCap)},
 	}
-	for i := range r.rings {
-		r.rings[i] = &critRing{ring: make([]CritEdge, 0, edgeCap)}
-	}
-	return r
 }
 
 // MissWait reclassifies lat+bw picoseconds of node's mem-wait bucket as
@@ -150,33 +129,16 @@ func (r *CritRecorder) MsgWait(node int, lat, bw sim.Time) {
 	r.bwSync[node] += bw
 }
 
-// Edge records one causal edge at node's tile.
-func (r *CritRecorder) Edge(node int, e CritEdge) {
-	i := 0
-	if r.tileOf != nil {
-		i = r.tileOf[node]
-	}
-	r.rings[i].add(e)
-}
+// Edge records one causal edge.
+func (r *CritRecorder) Edge(e CritEdge) { r.ring.add(e) }
 
 // EdgesTotal reports how many edges were recorded over the run,
-// including ones the rings evicted.
-func (r *CritRecorder) EdgesTotal() int64 {
-	var t int64
-	for _, b := range r.rings {
-		t += b.total
-	}
-	return t
-}
+// including ones the ring evicted.
+func (r *CritRecorder) EdgesTotal() int64 { return r.ring.total }
 
-// Edges returns the retained edges merged across tiles, stable-sorted by
-// (End, tile order) — deterministic at every worker count, since each
-// tile's ring content is independent of scheduling.
+// Edges returns the retained edges stable-sorted by (End, Start).
 func (r *CritRecorder) Edges() []CritEdge {
-	var all []CritEdge
-	for _, b := range r.rings {
-		all = append(all, b.edges()...)
-	}
+	all := r.ring.edges()
 	sort.SliceStable(all, func(i, j int) bool {
 		if all[i].End != all[j].End {
 			return all[i].End < all[j].End

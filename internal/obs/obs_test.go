@@ -205,62 +205,6 @@ func TestWriteTimelineByteIdentical(t *testing.T) {
 	}
 }
 
-func TestMergeSpansOrdersTrimsAndCountsEvictions(t *testing.T) {
-	a, b := obs.NewSpanBuffer(4), obs.NewSpanBuffer(4)
-	for _, end := range []sim.Time{10, 30, 50, 70, 90} { // 5 into cap 4: first evicted
-		a.Record(obs.Span{Thread: "a", End: end})
-	}
-	for _, end := range []sim.Time{20, 40, 60} {
-		b.Record(obs.Span{Thread: "b", End: end})
-	}
-	m := obs.MergeSpans(4, a, b)
-	if m.Total() != 8 {
-		t.Errorf("merged total = %d, want 8 (evictions included)", m.Total())
-	}
-	got := m.Spans()
-	want := []sim.Time{50, 60, 70, 90}
-	if len(got) != len(want) {
-		t.Fatalf("retained %d spans, want %d", len(got), len(want))
-	}
-	for i, s := range got {
-		if s.End != want[i] {
-			t.Errorf("span %d ends at %d, want %d", i, s.End, want[i])
-		}
-	}
-	// Equal-End spans keep shard order (stable sort).
-	x, y := obs.NewSpanBuffer(2), obs.NewSpanBuffer(2)
-	x.Record(obs.Span{Thread: "x", End: 5})
-	y.Record(obs.Span{Thread: "y", End: 5})
-	tied := obs.MergeSpans(4, x, y).Spans()
-	if len(tied) != 2 || tied[0].Thread != "x" || tied[1].Thread != "y" {
-		t.Errorf("equal-End merge reordered spans: %+v", tied)
-	}
-}
-
-func TestHistogramMergeMatchesSingleWriter(t *testing.T) {
-	var whole, sa, sb obs.Histogram
-	for i, v := range []int64{0, 1, 3, 7, 100, 5000, 5000, 123456} {
-		whole.Observe(v)
-		if i%2 == 0 {
-			sa.Observe(v)
-		} else {
-			sb.Observe(v)
-		}
-	}
-	var merged obs.Histogram
-	merged.Merge(&sa)
-	merged.Merge(&sb)
-	if merged.Count() != whole.Count() || merged.Sum() != whole.Sum() || merged.Max() != whole.Max() {
-		t.Errorf("merged count/sum/max = %d/%d/%d, single-writer %d/%d/%d",
-			merged.Count(), merged.Sum(), merged.Max(), whole.Count(), whole.Sum(), whole.Max())
-	}
-	for i := 0; i < 65; i++ {
-		if merged.Bucket(i) != whole.Bucket(i) {
-			t.Errorf("bucket %d: merged %d, single-writer %d", i, merged.Bucket(i), whole.Bucket(i))
-		}
-	}
-}
-
 func TestHistogramPercentiles(t *testing.T) {
 	var h obs.Histogram
 	if h.P50() != 0 || h.P99() != 0 {

@@ -83,21 +83,6 @@ func (h *Histogram) Max() int64 { return h.max }
 // Bucket returns the count in power-of-two bucket i.
 func (h *Histogram) Bucket(i int) int64 { return h.buckets[i] }
 
-// Merge folds o's samples into h. Bucket counts, count, and sum add and
-// max takes the larger value, all commutative and associative — merging
-// per-tile scratch histograms in any order yields byte-identical
-// snapshots to observing every sample into a single histogram.
-func (h *Histogram) Merge(o *Histogram) {
-	for i, c := range o.buckets {
-		h.buckets[i] += c
-	}
-	h.count += o.count
-	h.sum += o.sum
-	if o.max > h.max {
-		h.max = o.max
-	}
-}
-
 // Percentile returns the nearest-rank p-quantile of the observed
 // samples. Samples are bucketed by power of two, so the result is the
 // upper bound of the bucket holding the nearest-rank sample, clamped to

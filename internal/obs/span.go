@@ -2,7 +2,6 @@ package obs
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/sim"
 )
@@ -56,35 +55,6 @@ func (b *SpanBuffer) Record(s Span) {
 // Total reports how many spans were recorded over the run (including
 // evicted ones).
 func (b *SpanBuffer) Total() int64 { return b.total }
-
-// MergeSpans combines per-tile span rings into one buffer as if every
-// span had been recorded into a single ring of capacity cap. Each tile
-// records spans in nondecreasing End order (engine dispatch order), so a
-// stable sort by End — ties keep tile order — produces one deterministic
-// stream regardless of worker count; the last cap spans are retained and
-// Total counts every recorded span, including ones the per-tile rings
-// already evicted.
-func MergeSpans(cap int, shards ...*SpanBuffer) *SpanBuffer {
-	out := NewSpanBuffer(cap)
-	var all []Span
-	var total int64
-	for _, s := range shards {
-		if s == nil {
-			continue
-		}
-		all = append(all, s.Spans()...)
-		total += s.total
-	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].End < all[j].End })
-	if len(all) > cap {
-		all = all[len(all)-cap:]
-	}
-	for _, s := range all {
-		out.Record(s)
-	}
-	out.total = total
-	return out
-}
 
 // Spans returns the retained spans in recording order.
 func (b *SpanBuffer) Spans() []Span {

@@ -12,11 +12,9 @@ import (
 )
 
 // traceEvent records a synchronization event when tracing is enabled.
-// TraceFor routes to the calling node's tile-local ring under the tiled
-// engine (the merged Machine.Trace only exists after Run).
 func traceEvent(m *machine.Machine, p *machine.Proc, kind trace.Kind, a, b int64) {
-	if tr := m.TraceFor(p.ID); tr != nil {
-		tr.Add(trace.Event{At: p.Now(), Node: p.ID, Kind: kind, A: a, B: b})
+	if m.Trace != nil {
+		m.Trace.Add(trace.Event{At: p.Now(), Node: p.ID, Kind: kind, A: a, B: b})
 	}
 }
 
@@ -26,7 +24,7 @@ func traceEvent(m *machine.Machine, p *machine.Proc, kind trace.Kind, a, b int64
 // the dependency for the timeline lane and top-edge summary.
 func critBarrier(m *machine.Machine, p *machine.Proc, start sim.Time) {
 	if m.Crit != nil {
-		m.Crit.Edge(p.ID, obs.CritEdge{Kind: "barrier", Src: p.ID, Dst: p.ID, Start: start, End: p.Now()})
+		m.Crit.Edge(obs.CritEdge{Kind: "barrier", Src: p.ID, Dst: p.ID, Start: start, End: p.Now()})
 	}
 }
 

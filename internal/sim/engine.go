@@ -75,13 +75,6 @@ type Engine struct {
 	// interval (see SetSpanObserver). Purely passive: it runs after the
 	// thread has already resumed and must not mutate simulation state.
 	spanObs func(th *Thread, start, end Time, blocked bool, reason string, arg int64)
-
-	// Tiled execution (see Group). A grouped engine is one tile of a
-	// conservatively windowed parallel run: grp/tile identify it, winEnd
-	// is the exclusive end of the window it is currently executing.
-	grp    *Group
-	tile   int
-	winEnd Time
 }
 
 // SetSpanObserver installs fn to be called once per completed thread
@@ -231,35 +224,3 @@ func (e *Engine) step() {
 
 // Pending reports the number of queued events.
 func (e *Engine) Pending() int { return len(e.events) }
-
-// CrossAt schedules fn at absolute time t on dst, which may be another
-// tile of the same Group. For the local engine (or an ungrouped one)
-// this is plain At; for a foreign tile the event goes into the source
-// tile's outgoing mailbox and is merged into dst at the window barrier.
-// Conservative windowing requires t to be at or past the current window
-// end — the lookahead guarantees it, and the violation panic here is
-// what turns a wrong lookahead into a loud failure instead of a silent
-// causality break.
-func (e *Engine) CrossAt(dst *Engine, t Time, fn func()) {
-	if dst == e || e.grp == nil {
-		dst.At(t, fn)
-		return
-	}
-	if dst.grp != e.grp {
-		panic("sim: CrossAt between engines of different groups")
-	}
-	if t < e.winEnd {
-		panic(fmt.Sprintf("sim: cross-tile event at %v inside the current window (end %v): lookahead exceeds the real cross-tile latency", t, e.winEnd))
-	}
-	e.grp.post(e.tile, dst.tile, t, fn)
-}
-
-// runWindow executes queued events strictly before end, then advances
-// now to end. It is the per-tile body of one conservative window; the
-// Group runs it concurrently across tiles.
-func (e *Engine) runWindow(end Time) {
-	for len(e.events) > 0 && e.events[0].at < end {
-		e.step()
-	}
-	e.now = end
-}

@@ -90,15 +90,6 @@ func (e *Engine) Diagnose(kind StallKind) *StallError {
 		times = times[:maxDiagEvents]
 	}
 	d.NextEvents = times
-	d.Blocked = e.blockedDump(kind)
-	return d
-}
-
-// blockedDump renders the engine's paused threads for a diagnostic of
-// the given kind. Shared between the single-engine Diagnose and the
-// Group fan-in, so sharded dumps blame threads identically.
-func (e *Engine) blockedDump(kind StallKind) []BlockedThread {
-	var out []BlockedThread
 	for _, th := range e.threads {
 		if th.state != ThreadPaused {
 			continue
@@ -116,13 +107,13 @@ func (e *Engine) blockedDump(kind StallKind) []BlockedThread {
 			}
 			reason += "wake scheduled"
 		}
-		out = append(out, BlockedThread{
+		d.Blocked = append(d.Blocked, BlockedThread{
 			Name:   th.name,
 			Reason: reason,
 			Since:  th.blockedSince,
 		})
 	}
-	return out
+	return d
 }
 
 // CheckLiveness returns a deadlock diagnostic if the event queue is empty

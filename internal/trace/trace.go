@@ -3,7 +3,6 @@ package trace
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"repro/internal/sim"
 )
@@ -84,35 +83,6 @@ func (b *Buffer) Add(e Event) {
 // Total reports how many events were recorded over the run (including
 // evicted ones).
 func (b *Buffer) Total() int64 { return b.total }
-
-// Merge combines per-tile buffers into one buffer as if every event had
-// been recorded into a single ring of capacity cap: events are ordered
-// by timestamp (a stable sort — ties keep tile order, and each tile's
-// internal order), the last cap are retained, and Total counts every
-// recorded event, including ones the per-tile rings already evicted —
-// so dropped-event accounting matches a serial run recording the same
-// event population into one ring.
-func Merge(cap int, shards ...*Buffer) *Buffer {
-	out := New(cap)
-	var all []Event
-	var total int64
-	for _, s := range shards {
-		if s == nil {
-			continue
-		}
-		all = append(all, s.Events()...)
-		total += s.total
-	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].At < all[j].At })
-	if len(all) > cap {
-		all = all[len(all)-cap:]
-	}
-	for _, e := range all {
-		out.Add(e)
-	}
-	out.total = total
-	return out
-}
 
 // Events returns the retained events in recording order.
 func (b *Buffer) Events() []Event {

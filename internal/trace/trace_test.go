@@ -130,45 +130,3 @@ func TestZeroCapPanics(t *testing.T) {
 	}()
 	New(0)
 }
-
-func TestMergeOrdersTrimsAndCountsDrops(t *testing.T) {
-	a, b := New(4), New(4)
-	for _, at := range []sim.Time{10, 30, 50, 70, 90} { // 5 into cap 4: 10 evicted
-		a.Add(Event{At: at, Node: 0})
-	}
-	for _, at := range []sim.Time{20, 40, 60} {
-		b.Add(Event{At: at, Node: 1})
-	}
-	m := Merge(4, a, b)
-	// Total counts every recorded event, including a's evicted one, so
-	// drop accounting matches one serial ring seeing all 8 events.
-	if m.Total() != 8 {
-		t.Errorf("merged total = %d, want 8", m.Total())
-	}
-	got := m.Events()
-	want := []sim.Time{50, 60, 70, 90} // last 4 of the sorted survivors
-	if len(got) != len(want) {
-		t.Fatalf("retained %d events, want %d", len(got), len(want))
-	}
-	for i, e := range got {
-		if e.At != want[i] {
-			t.Errorf("event %d at %d, want %d", i, e.At, want[i])
-		}
-	}
-}
-
-func TestMergeTiesKeepShardOrder(t *testing.T) {
-	a, b := New(4), New(4)
-	a.Add(Event{At: 100, Node: 0, A: 1})
-	a.Add(Event{At: 100, Node: 0, A: 2})
-	b.Add(Event{At: 100, Node: 1, A: 3})
-	m := Merge(4, a, b)
-	got := m.Events()
-	if len(got) != 3 || got[0].A != 1 || got[1].A != 2 || got[2].A != 3 {
-		t.Errorf("equal-timestamp merge reordered events: %+v", got)
-	}
-	// nil shards are skipped, not dereferenced.
-	if m2 := Merge(2, nil, a); m2.Total() != 2 {
-		t.Errorf("merge with nil shard: total = %d, want 2", m2.Total())
-	}
-}
