@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: check build test race bench fuzz lint profile
+.PHONY: check build test race bench bench-save fuzz lint profile
 
 check: build race test lint
 	$(GO) vet ./...
@@ -52,8 +52,20 @@ profile:
 		-cpuprofile /tmp/paperbench.cpu -memprofile /tmp/paperbench.mem > /dev/null
 	@echo "profiles written: /tmp/paperbench.cpu /tmp/paperbench.mem"
 
-# Performance tracking: event-engine allocation profile and serial vs
-# parallel sweep throughput.
+# Performance tracking: event-engine allocation profile, host ns per
+# dispatched event of a whole tiny em3d run, and serial vs parallel
+# sweep throughput.
 bench:
 	$(GO) test -bench 'BenchmarkEngine|BenchmarkThreadHandoff' -benchmem -run xxx ./internal/sim/
+	$(GO) test -bench BenchmarkMachineRunEM3D -benchtime 10x -benchmem -run xxx ./internal/machine/
 	$(GO) test -bench 'BenchmarkClockSweep|BenchmarkContextSwitchSweepMemoized' -benchtime 3x -run xxx ./internal/core/
+
+# End-to-end host-time trajectory: times `paperbench -all -scale tiny`
+# at -j 1 and -j 0, `go test ./...` and `make race`, and records them
+# with the Go version, nproc and GOMAXPROCS as the BENCH_LABEL row of
+# BENCH_e2e.json. BENCH_DIR measures another checkout (a clone of an
+# older commit) on the same host. Recorded, never gated.
+BENCH_LABEL ?= change
+BENCH_DIR ?= .
+bench-save:
+	$(GO) run ./cmd/benchsave -label $(BENCH_LABEL) -dir $(BENCH_DIR)

@@ -219,10 +219,9 @@ func (e *RunError) Error() string {
 // Run builds a fresh machine, runs the app under the mechanism, validates
 // the numerical result against the sequential reference, and returns the
 // measurements. A panicking simulation is recovered into a *RunError
-// rather than crashing the process; the crashed machine's paused thread
-// goroutines are abandoned (they hold no locks and touch no shared state,
-// so abandonment is safe, but a pathological sweep of thousands of
-// crashing points would accumulate them).
+// rather than crashing the process; machine.Run stops the crashed
+// machine's unfinished threads before it panics, so a sweep of many
+// crashing points accumulates nothing.
 func Run(rc RunConfig) (res RunResult, err error) {
 	a, err := NewAppSized(rc.App, rc.Scale, rc.Machine.Nodes(), rc.ScaleProblem)
 	if err != nil {

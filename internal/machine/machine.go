@@ -360,7 +360,9 @@ func (m *Machine) Run(body func(p *Proc)) Result {
 	if m.doneN != n {
 		d := m.Eng.Diagnose(sim.StallDeadlock)
 		d.Notes = append(d.Notes, fmt.Sprintf("only %d/%d processors finished", m.doneN, n))
-		panic(m.enrich(d))
+		d = m.enrich(d)
+		m.Eng.StopThreads()
+		panic(d)
 	}
 	if err := m.Mem.CheckInvariants(true); err != nil {
 		panic(fmt.Sprintf("machine: post-run %v", err))
@@ -417,13 +419,16 @@ func (m *Machine) Run(body func(p *Proc)) Result {
 // runEngine drives the event loop, enriching any engine-level stall
 // diagnostic (event limit, deadline, liveness) with machine-level state
 // before re-panicking: busy directory transactions, occupied mesh links,
-// and backed-up NI queues.
+// and backed-up NI queues. A run that panics is given up, so its
+// unfinished processor threads are stopped first; a sweep that recovers
+// the panic keeps no goroutine of it.
 func (m *Machine) runEngine() {
 	defer func() {
 		if r := recover(); r != nil {
 			if se, ok := r.(*sim.StallError); ok {
-				panic(m.enrich(se))
+				r = m.enrich(se)
 			}
+			m.Eng.StopThreads()
 			panic(r)
 		}
 	}()

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -85,6 +86,32 @@ func TestDeadlineAbortCarriesDiagnostic(t *testing.T) {
 	}
 	if se.Now > sim.NewClock(cfg.ClockMHz).Cycles(cfg.DeadlineCycles) {
 		t.Errorf("diagnosed at %v, past the armed deadline", se.Now)
+	}
+}
+
+func TestStalledRunsLeaveNoGoroutines(t *testing.T) {
+	// A sweep recovers stalled runs and keeps going, so a stall must not
+	// leave its unfinished processor threads (and the machine they
+	// reference) behind: ten deadlocks of all 32 processors would
+	// otherwise strand 320 goroutines.
+	base := runtime.NumGoroutine()
+	for i := 0; i < 10; i++ {
+		recoverStall(t, DefaultConfig(), func(p *Proc) { p.WaitAndHandle() })
+	}
+	limit := DefaultConfig()
+	limit.EventLimit = 5000
+	recoverStall(t, limit, func(p *Proc) {
+		for {
+			p.SpinCycles(10)
+		}
+	})
+	deadline := DefaultConfig()
+	deadline.DeadlineCycles = 1000
+	recoverStall(t, deadline, func(p *Proc) { p.Compute(1_000_000) })
+	// The previous test's goroutine may still be exiting when base is
+	// taken, so only a count above it is a leak.
+	if got := runtime.NumGoroutine(); got > base {
+		t.Errorf("%d goroutines after recovered stalls, want at most the baseline %d", got, base)
 	}
 }
 

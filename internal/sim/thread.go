@@ -1,6 +1,17 @@
+// Threads are iter.Pull coroutines, which need Go 1.23. The module's go
+// line stays at 1.22 because perfbench/, a module that requires this one,
+// declares go 1.22 and the go command rejects a dependency that needs a
+// newer Go than its main module; this constraint raises the language
+// version of this file alone.
+
+//go:build go1.23
+
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // ThreadState describes the lifecycle of a simulated thread.
 type ThreadState int
@@ -31,10 +42,11 @@ func (s ThreadState) String() string {
 }
 
 // Thread is a cooperatively scheduled simulated thread. A thread's body
-// runs on its own goroutine, but control is handed off strictly: while the
-// body executes, the engine goroutine (and every other thread) is blocked,
-// so the body may freely read and mutate simulation state and schedule
-// events. A body gives up control only through Pause (or by returning).
+// runs as a runtime coroutine (iter.Pull), so control is handed off
+// strictly: while the body executes, the engine (and every other thread)
+// is suspended, so the body may freely read and mutate simulation state
+// and schedule events. A body gives up control only through Pause (or by
+// returning).
 //
 // A paused thread is resumed by exactly one pending Wake; issuing a second
 // Wake for an already-woken thread is a model bug and panics.
@@ -43,8 +55,10 @@ type Thread struct {
 	name  string
 	state ThreadState
 
-	resume chan struct{} // engine -> thread: run now
-	yield  chan struct{} // thread -> engine: control returned
+	next  func() (struct{}, bool) // engine -> thread: run until the next Pause
+	stop  func()                  // ends a paused or unstarted body (StopThreads)
+	yield func(struct{}) bool     // thread -> engine: control returned
+	wake  func()                  // th.dispatch, bound once so wakes do not allocate
 
 	wakePending bool
 	panicVal    interface{}
@@ -69,28 +83,43 @@ type Thread struct {
 // The body runs to completion unless it pauses; Spawn itself returns
 // immediately (the thread first runs when the engine reaches time at).
 func (e *Engine) Spawn(name string, at Time, body func(*Thread)) *Thread {
-	th := &Thread{
-		eng:    e,
-		name:   name,
-		state:  ThreadNew,
-		resume: make(chan struct{}),
-		yield:  make(chan struct{}),
-	}
-	go func() {
-		<-th.resume
+	th := &Thread{eng: e, name: name, state: ThreadNew}
+	th.wake = th.dispatch
+	th.next, th.stop = iter.Pull(func(yield func(struct{}) bool) {
+		th.yield = yield
 		defer func() {
-			if r := recover(); r != nil {
+			// Keep body panics away from iter.Pull's own re-panic: dispatch
+			// re-raises them with the thread's name. A stopped thread's
+			// unwinding (see StopThreads) is not a failure.
+			if r := recover(); r != nil && r != (stopped{}) {
 				th.panicVal = r
 			}
 			th.state = ThreadDone
-			th.yield <- struct{}{}
 		}()
 		body(th)
-	}()
+	})
 	th.wakePending = true
 	e.threads = append(e.threads, th)
-	e.At(at, th.dispatch)
+	e.At(at, th.wake)
 	return th
+}
+
+// stopped is the panic value that unwinds a body out of Pause once
+// StopThreads has stopped its thread; Spawn's recover swallows it.
+type stopped struct{}
+
+// StopThreads ends every unfinished thread so that nothing of the run
+// stays behind once it has been given up (a stall or a body panic):
+// a paused body unwinds out of Pause without running further
+// simulation code, and a body that never started is discarded. It must
+// be called from engine context, and the engine must not run again.
+func (e *Engine) StopThreads() {
+	for _, th := range e.threads {
+		if th.state != ThreadDone {
+			th.stop()
+			th.state = ThreadDone
+		}
+	}
 }
 
 // SpawnNow is Spawn at the current simulated time.
@@ -98,18 +127,17 @@ func (e *Engine) SpawnNow(name string, body func(*Thread)) *Thread {
 	return e.Spawn(name, e.now, body)
 }
 
-// dispatch transfers control to the thread and blocks until it yields.
-// It runs in engine context (as an event callback).
+// dispatch resumes the thread's coroutine and returns once the body
+// pauses or finishes. It runs in engine context (as an event callback).
 func (th *Thread) dispatch() {
 	if th.state == ThreadDone {
 		panic(fmt.Sprintf("sim: wake of finished thread %q", th.name))
 	}
 	th.wakePending = false
 	th.state = ThreadRunning
-	th.resume <- struct{}{}
-	<-th.yield
+	th.next()
 	if th.state == ThreadDone && th.panicVal != nil {
-		// Re-raise body panics on the engine goroutine so tests see them.
+		// Re-raise body panics in engine context so tests see them.
 		panic(fmt.Sprintf("sim: thread %q panicked: %v", th.name, th.panicVal))
 	}
 }
@@ -136,8 +164,9 @@ func (th *Thread) Pause() {
 	th.state = ThreadPaused
 	th.blockedSince = th.eng.now
 	armed := th.wakePending
-	th.yield <- struct{}{}
-	<-th.resume
+	if !th.yield(struct{}{}) {
+		panic(stopped{})
+	}
 	th.state = ThreadRunning
 	d := th.eng.now - th.blockedSince
 	if armed {
@@ -192,7 +221,7 @@ func (th *Thread) WakeAt(t Time) {
 		panic(fmt.Sprintf("sim: duplicate wake for thread %q", th.name))
 	}
 	th.wakePending = true
-	th.eng.At(t, th.dispatch)
+	th.eng.At(t, th.wake)
 }
 
 // WakeAfter schedules the thread to resume d picoseconds from now.

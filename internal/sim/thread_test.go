@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -127,6 +128,82 @@ func TestThreadBodyPanicPropagates(t *testing.T) {
 		}
 	}()
 	e.Run()
+}
+
+func TestThreadBodyPanicAfterPausePropagates(t *testing.T) {
+	// The body panics after a self-armed sleep and an external wake, so
+	// the re-raise must cross resumed handoffs, not just the first one.
+	e := NewEngine()
+	late := e.Spawn("late", 0, func(th *Thread) {
+		th.Sleep(10)
+		th.Pause()
+		panic("boom")
+	})
+	e.Spawn("waker", 5, func(th *Thread) {
+		th.Sleep(20)
+		late.WakeAfter(1)
+	})
+	defer func() {
+		r := recover()
+		msg, ok := r.(string)
+		if !ok {
+			t.Fatalf("panic value %T (%v), want the re-raised string", r, r)
+		}
+		if !strings.Contains(msg, `thread "late" panicked: boom`) {
+			t.Errorf("panic %q does not name the thread and cause", msg)
+		}
+		if e.Now() != 26 {
+			t.Errorf("panic surfaced at t=%d, want 26 (after two pauses)", e.Now())
+		}
+	}()
+	e.Run()
+}
+
+func TestThreadHandoffAllocFree(t *testing.T) {
+	e := NewEngine()
+	var sleep, wakePause float64
+	e.Spawn("t", 0, func(th *Thread) {
+		sleep = testing.AllocsPerRun(100, func() { th.Sleep(1) })
+		wakePause = testing.AllocsPerRun(100, func() {
+			th.WakeAt(th.Now() + 1)
+			th.Pause()
+		})
+	})
+	e.Run()
+	if sleep != 0 {
+		t.Errorf("Sleep round trip: %v allocs, want 0", sleep)
+	}
+	if wakePause != 0 {
+		t.Errorf("WakeAt+Pause round trip: %v allocs, want 0", wakePause)
+	}
+}
+
+func TestStopThreadsEndsEveryGoroutine(t *testing.T) {
+	base := runtime.NumGoroutine()
+	e := NewEngine()
+	resumed := false
+	for i := 0; i < 8; i++ {
+		e.Spawn("parked", 0, func(th *Thread) {
+			th.Pause() // never woken
+			resumed = true
+		})
+	}
+	e.Spawn("unstarted", 100, func(th *Thread) { resumed = true })
+	e.RunUntil(50)
+	e.StopThreads()
+	if resumed {
+		t.Error("a stopped body ran past its Pause")
+	}
+	for _, th := range e.threads {
+		if th.State() != ThreadDone {
+			t.Errorf("thread %q state %v after StopThreads, want done", th.Name(), th.State())
+		}
+	}
+	// The previous test's goroutine may still be exiting when base is
+	// taken, so only a count above it is a leak.
+	if got := runtime.NumGoroutine(); got > base {
+		t.Errorf("%d goroutines after StopThreads, want at most the baseline %d", got, base)
+	}
 }
 
 func TestThreadWakePending(t *testing.T) {
