@@ -34,7 +34,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	sc, err := parseScale(*scaleName)
+	sc, err := core.ParseScale(*scaleName)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -113,18 +113,4 @@ func parseMech(s string) (apps.Mechanism, error) {
 		return apps.Bulk, nil
 	}
 	return 0, fmt.Errorf("unknown mechanism %q", s)
-}
-
-func parseScale(s string) (core.Scale, error) {
-	switch s {
-	case "tiny":
-		return core.ScaleTiny, nil
-	case "sweep":
-		return core.ScaleSweep, nil
-	case "default":
-		return core.ScaleDefault, nil
-	case "full":
-		return core.ScaleFull, nil
-	}
-	return 0, fmt.Errorf("unknown scale %q", s)
 }

@@ -19,18 +19,9 @@ func main() {
 	scaleName := flag.String("scale", "sweep", "workload scale")
 	flag.Parse()
 
-	var sc core.Scale
-	switch *scaleName {
-	case "tiny":
-		sc = core.ScaleTiny
-	case "sweep":
-		sc = core.ScaleSweep
-	case "default":
-		sc = core.ScaleDefault
-	case "full":
-		sc = core.ScaleFull
-	default:
-		log.Fatalf("unknown scale %q", *scaleName)
+	sc, err := core.ParseScale(*scaleName)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	fmt.Printf("%s on emulated Table 1 machines (32 nodes each; runtimes in processor cycles)\n\n", *appName)

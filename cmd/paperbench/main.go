@@ -82,6 +82,13 @@ func main() {
 	if *noiseSeeds < 1 {
 		log.Fatal("-noiseseeds must be at least 1")
 	}
+	var scale core.Scale
+	if *scaleName != "" {
+		var err error
+		if scale, err = core.ParseScale(*scaleName); err != nil {
+			log.Fatal(err)
+		}
+	}
 	if (*prune || *predictErr != 0) && !*predictFlag {
 		log.Fatal("-prune and -predicterr only apply with -predict")
 	}
@@ -226,18 +233,13 @@ func main() {
 	if *appFlag != "" {
 		appsToRun = []core.AppName{core.AppName(*appFlag)}
 	}
+	// scOr resolves the -scale override, falling back to each figure's
+	// own default scale when the flag is empty.
 	scOr := func(def core.Scale) core.Scale {
-		switch *scaleName {
-		case "tiny":
-			return core.ScaleTiny
-		case "sweep":
-			return core.ScaleSweep
-		case "default":
-			return core.ScaleDefault
-		case "full":
-			return core.ScaleFull
+		if *scaleName == "" {
+			return def
 		}
-		return def
+		return scale
 	}
 
 	check := func(err error) {

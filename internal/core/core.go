@@ -59,6 +59,17 @@ func (s Scale) String() string {
 	return fmt.Sprintf("Scale(%d)", int(s))
 }
 
+// ParseScale is the inverse of Scale.String: it maps "tiny", "sweep",
+// "default" or "full" to its Scale and rejects every other name.
+func ParseScale(name string) (Scale, error) {
+	for _, s := range []Scale{ScaleTiny, ScaleDefault, ScaleSweep, ScaleFull} {
+		if s.String() == name {
+			return s, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown scale %q (want tiny, sweep, default or full)", name)
+}
+
 // BaseProcs is the paper's machine size: every workload's published
 // parameters assume a 32-processor partition, and scaled-problem sizing
 // (weak scaling) holds per-processor work at its BaseProcs value.

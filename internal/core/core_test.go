@@ -62,6 +62,32 @@ func TestScaleStrings(t *testing.T) {
 	}
 }
 
+// TestParseScaleRoundTrip: ParseScale inverts Scale.String for all
+// four scales and rejects every other name, including a typo and the
+// empty string.
+func TestParseScaleRoundTrip(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		want Scale
+		ok   bool
+	}{
+		{"tiny", ScaleTiny, true},
+		{"sweep", ScaleSweep, true},
+		{"default", ScaleDefault, true},
+		{"full", ScaleFull, true},
+		{"tinyy", 0, false},
+		{"", 0, false},
+	} {
+		got, err := ParseScale(tc.name)
+		if (err == nil) != tc.ok || got != tc.want {
+			t.Errorf("ParseScale(%q) = %v, %v; want %v, ok=%v", tc.name, got, err, tc.want, tc.ok)
+		}
+		if tc.ok && got.String() != tc.name {
+			t.Errorf("ParseScale(%q).String() = %q", tc.name, got.String())
+		}
+	}
+}
+
 func TestCrossoverSynthetic(t *testing.T) {
 	mk := func(x float64, a, b int64) SweepPoint {
 		return SweepPoint{X: x, Results: map[apps.Mechanism]RunResult{
@@ -159,7 +185,7 @@ func TestBisectionSweepShape(t *testing.T) {
 	// Figure 8's essence at test scale: as bisection drops, SM degrades
 	// faster than MP.
 	mechs := []apps.Mechanism{apps.SM, apps.MPPoll}
-	pts, err := BisectionSweep(EM3D, ScaleTiny, mechs, machine.DefaultConfig(),
+	pts, err := DefaultRunner.BisectionSweep(EM3D, ScaleTiny, mechs, machine.DefaultConfig(),
 		[]float64{0, 12, 16}, 64)
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +212,7 @@ func TestClockSweepRelativeLatency(t *testing.T) {
 	// range is 14-20 MHz; we widen it to 8 MHz for a clear signal at
 	// test scale.
 	mechs := []apps.Mechanism{apps.SM, apps.MPPoll}
-	pts, err := ClockSweep(EM3D, ScaleSweep, mechs, machine.DefaultConfig(),
+	pts, err := DefaultRunner.ClockSweep(EM3D, ScaleSweep, mechs, machine.DefaultConfig(),
 		[]float64{20, 8})
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +233,7 @@ func TestContextSwitchSweepChandraPoint(t *testing.T) {
 	// passing beats shared memory by roughly 2x (reconciling Chandra et
 	// al.); MP curves are flat (they are not varied).
 	mechs := []apps.Mechanism{apps.SM, apps.SMPrefetch, apps.MPPoll}
-	pts, err := ContextSwitchSweep(EM3D, ScaleTiny, mechs, machine.DefaultConfig(),
+	pts, err := DefaultRunner.ContextSwitchSweep(EM3D, ScaleTiny, mechs, machine.DefaultConfig(),
 		[]int64{15, 100})
 	if err != nil {
 		t.Fatal(err)
@@ -241,7 +267,7 @@ func TestContextSwitchSweepChandraPoint(t *testing.T) {
 func TestMsgLenSweepSmallSizesEmulateBetter(t *testing.T) {
 	// Figure 7: the emulation works across message sizes; runtimes vary
 	// with cross-traffic granularity but stay in a band.
-	pts, err := MsgLenSweep(EM3D, ScaleTiny, apps.SM, machine.DefaultConfig(),
+	pts, err := DefaultRunner.MsgLenSweep(EM3D, ScaleTiny, apps.SM, machine.DefaultConfig(),
 		8, []int{16, 64, 256})
 	if err != nil {
 		t.Fatal(err)
@@ -270,19 +296,19 @@ func TestDeterministicRunResults(t *testing.T) {
 }
 
 func TestSweepErrorPropagation(t *testing.T) {
-	if _, err := BisectionSweep("nonesuch", ScaleTiny, []apps.Mechanism{apps.SM},
+	if _, err := DefaultRunner.BisectionSweep("nonesuch", ScaleTiny, []apps.Mechanism{apps.SM},
 		machine.DefaultConfig(), []float64{0}, 64); err == nil {
 		t.Error("bisection sweep with unknown app did not error")
 	}
-	if _, err := ClockSweep("nonesuch", ScaleTiny, []apps.Mechanism{apps.SM},
+	if _, err := DefaultRunner.ClockSweep("nonesuch", ScaleTiny, []apps.Mechanism{apps.SM},
 		machine.DefaultConfig(), []float64{20}); err == nil {
 		t.Error("clock sweep with unknown app did not error")
 	}
-	if _, err := ContextSwitchSweep("nonesuch", ScaleTiny, []apps.Mechanism{apps.SM},
+	if _, err := DefaultRunner.ContextSwitchSweep("nonesuch", ScaleTiny, []apps.Mechanism{apps.SM},
 		machine.DefaultConfig(), []int64{15}); err == nil {
 		t.Error("context-switch sweep with unknown app did not error")
 	}
-	if _, err := MsgLenSweep("nonesuch", ScaleTiny, apps.SM,
+	if _, err := DefaultRunner.MsgLenSweep("nonesuch", ScaleTiny, apps.SM,
 		machine.DefaultConfig(), 4, []int{64}); err == nil {
 		t.Error("msg-len sweep with unknown app did not error")
 	}

@@ -49,7 +49,7 @@ func TestCrashIsolationLeavesSweepCompleted(t *testing.T) {
 	// The middle config differs only in EventLimit, so it is a distinct
 	// cache key and crashes alone.
 	cfgs[2].ClockMHz = 14
-	pts, err := r.sweepJobs(EM3D, ScaleTiny, []apps.Mechanism{apps.SM}, cfgs, []float64{0, 1, 2})
+	pts, err := r.simulate(EM3D, ScaleTiny, uniformGrid([]float64{0, 1, 2}, []apps.Mechanism{apps.SM}, good, cfgs, nil), false)
 	if err != nil {
 		t.Fatalf("sweep with one crashing point errored: %v", err)
 	}
@@ -73,8 +73,8 @@ func TestCrashIsolationLeavesSweepCompleted(t *testing.T) {
 
 func TestWhollyFailedSweepErrors(t *testing.T) {
 	r := NewRunner(0)
-	pts, err := r.sweepJobs(EM3D, ScaleTiny, []apps.Mechanism{apps.SM},
-		[]machine.Config{poisoned()}, []float64{0})
+	pts, err := r.simulate(EM3D, ScaleTiny, uniformGrid([]float64{0}, []apps.Mechanism{apps.SM},
+		poisoned(), []machine.Config{poisoned()}, nil), false)
 	if err == nil {
 		t.Fatalf("sweep with zero surviving points returned %v, want error", pts)
 	}

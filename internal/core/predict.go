@@ -1,11 +1,8 @@
 package core
 
 import (
-	"math"
-
 	"repro/internal/apps"
 	"repro/internal/machine"
-	"repro/internal/mesh"
 	"repro/internal/predict"
 )
 
@@ -15,44 +12,31 @@ import (
 // enough that one retained run is a few megabytes.
 const DefaultPredictEdgeCap = 1 << 17
 
-// PredictOptions tunes a predicted sweep. The zero value means: predict
-// every grid point, simulate every grid point for validation columns,
-// default edge cap, 10% latency-tolerance growth target.
+// The pruning rule and the latency-tolerance target. The floor and the
+// margin are the calibration target of -prune: a prediction stands
+// unsimulated only when it clears both.
+const (
+	// pruneConfidenceFloor is the minimum self-reported confidence a
+	// prediction needs to stand unsimulated under Prune.
+	pruneConfidenceFloor = 0.7
+	// pruneCrossoverMargin is the relative gap between the two fastest
+	// predicted mechanisms below which a point's verdict counts as
+	// ambiguous and is simulated under Prune.
+	pruneCrossoverMargin = 0.05
+	// ToleranceGrowth is the runtime growth defining the
+	// latency-tolerance metric: the latency at which runtime grows 10%.
+	ToleranceGrowth = 0.10
+)
+
+// PredictOptions tunes a predicted sweep. The zero value predicts every
+// grid point and simulates every grid point for validation columns.
 type PredictOptions struct {
 	// Prune switches from validate-everything to simulate-on-demand:
 	// only the base point (free), points where the model's confidence
-	// drops below ConfidenceFloor, and points near a predicted mechanism
-	// crossover are simulated; everywhere else the prediction stands.
+	// drops below the confidence floor, and points near a predicted
+	// mechanism crossover are simulated; everywhere else the prediction
+	// stands.
 	Prune bool
-	// ConfidenceFloor is the minimum self-reported confidence a
-	// prediction needs to stand unsimulated under Prune (default 0.7).
-	ConfidenceFloor float64
-	// CrossoverMargin is the relative gap between the two fastest
-	// predicted mechanisms below which a point's verdict counts as
-	// ambiguous and is simulated under Prune (default 0.05).
-	CrossoverMargin float64
-	// EdgeCap overrides the instrumented base runs' edge-ring
-	// capacity (default DefaultPredictEdgeCap).
-	EdgeCap int
-	// GrowthTarget is the runtime growth defining the latency-tolerance
-	// metric (default 0.10: the latency at which runtime grows 10%).
-	GrowthTarget float64
-}
-
-func (o PredictOptions) withDefaults() PredictOptions {
-	if o.ConfidenceFloor == 0 {
-		o.ConfidenceFloor = 0.7
-	}
-	if o.CrossoverMargin == 0 {
-		o.CrossoverMargin = 0.05
-	}
-	if o.EdgeCap == 0 {
-		o.EdgeCap = DefaultPredictEdgeCap
-	}
-	if o.GrowthTarget == 0 {
-		o.GrowthTarget = 0.10
-	}
-	return o
 }
 
 // PredictedPoint is one X position of a predicted sweep: the model's
@@ -72,26 +56,13 @@ type PredictedSweep struct {
 	Base map[apps.Mechanism]RunResult
 	// Tolerance is the latency-tolerance metric per mechanism: the
 	// one-way network latency, in processor cycles, at which the model
-	// predicts runtime grows by the configured target (+Inf when the
+	// predicts runtime grows by ToleranceGrowth (+Inf when the
 	// mechanism never reaches it — latency-insensitive at this scale).
 	Tolerance map[apps.Mechanism]float64
 	// Grid counts mechanism-points in the sweep; Simulated counts the
 	// distinct simulations executed for it, including the instrumented
 	// base runs. Grid - Simulated is the pruning win.
 	Grid, Simulated int
-}
-
-// predictJob is one mechanism's slice of a predicted sweep: the
-// uninstrumented base config the model is built at, the (LatScale,
-// BWScale) evaluation per grid point, the config a validating
-// simulation of that point would run, and the base one-way latency (in
-// cycles) that converts the tolerance scale into cycles.
-type predictJob struct {
-	mech       apps.Mechanism
-	base       machine.Config
-	points     []predict.Point
-	cfgs       []machine.Config
-	baseOneWay float64
 }
 
 // instrumentedRun executes rc (which must enable CritPath) preferring
@@ -112,45 +83,41 @@ func (r *Runner) instrumentedRun(rc RunConfig) (RunResult, error) {
 const bisectionCrossFrac = 0.5
 
 // predictedSweep is the common engine: instrument one base run per
-// mechanism, build its dependency-graph model, solve every grid point,
-// pick the validation set, and fold in the confirming simulations.
-func (r *Runner) predictedSweep(app AppName, sc Scale, jobs []predictJob, xs []float64, opt PredictOptions) (*PredictedSweep, error) {
-	opt = opt.withDefaults()
+// mechanism of g, build its dependency-graph model, solve every grid
+// point, pick the validation set, and fold in the confirming
+// simulations.
+func (r *Runner) predictedSweep(app AppName, sc Scale, g sweepGrid, opt PredictOptions) (*PredictedSweep, error) {
 	ps := &PredictedSweep{
-		Base:      make(map[apps.Mechanism]RunResult, len(jobs)),
-		Tolerance: make(map[apps.Mechanism]float64, len(jobs)),
-		Grid:      len(jobs) * len(xs),
+		Base:      make(map[apps.Mechanism]RunResult, len(g.mechs)),
+		Tolerance: make(map[apps.Mechanism]float64, len(g.mechs)),
+		Grid:      len(g.mechs) * len(g.xs),
 	}
-	ps.Points = make([]PredictedPoint, len(xs))
-	for i, x := range xs {
-		ps.Points[i] = PredictedPoint{
-			X:    x,
-			Pred: make(map[apps.Mechanism]predict.Prediction),
-			Sim:  make(map[apps.Mechanism]RunResult),
-		}
+	ps.Points = make([]PredictedPoint, len(g.xs))
+	for i, x := range g.xs {
+		ps.Points[i] = PredictedPoint{X: x, Pred: make(map[apps.Mechanism]predict.Prediction)}
 	}
 
 	// Phase 1: instrumented base runs and their models. A mechanism
 	// whose base run fails is isolated like a crashed sweep point —
 	// absent from every map — and the sweep only errors when nothing
 	// survived.
-	models := make([]*predict.Model, len(jobs))
+	models := make([]*predict.Model, len(g.mechs))
 	var firstErr error
-	alive := 0
-	for ji, job := range jobs {
-		icfg := job.base
+	netOneWay := 0.0 // NetLatencyCycles of the real-network base, once per grid
+	for mi, m := range g.mechs {
+		icfg := m.base
 		icfg.CritPath = true
-		icfg.CritEdgeCap = opt.EdgeCap
-		res, err := r.instrumentedRun(RunConfig{App: app, Mech: job.mech, Scale: sc, Machine: icfg, SkipValidate: true})
+		icfg.CritEdgeCap = DefaultPredictEdgeCap
+		res, err := r.instrumentedRun(RunConfig{App: app, Mech: m.mech, Scale: sc, Machine: icfg, SkipValidate: true})
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
 			continue
 		}
-		m, err := predict.Build(predict.Input{
+		model, err := predict.Build(predict.Input{
 			Nodes:          icfg.Nodes(),
-			Clk:            clockOf(job.base),
+			Clk:            clockOf(m.base),
 			Edges:          res.Crit.Edges(),
 			EdgesTotal:     res.Crit.EdgesTotal(),
 			DoneCycles:     res.DoneCycles,
@@ -163,50 +130,56 @@ func (r *Runner) predictedSweep(app AppName, sc Scale, jobs []predictJob, xs []f
 			}
 			continue
 		}
-		models[ji] = m
-		ps.Base[job.mech] = res
-		ps.Tolerance[job.mech] = m.LatencyTolerance(opt.GrowthTarget) * job.baseOneWay
+		// The tolerance scale converts to cycles at the base's one-way
+		// latency: the emulated one on an ideal network, the mesh's
+		// otherwise (every real-network base of a grid is one machine).
+		oneWay := float64(m.base.IdealNetOneWayCycles)
+		if oneWay == 0 {
+			if netOneWay == 0 {
+				netOneWay = NetLatencyCycles(m.base)
+			}
+			oneWay = netOneWay
+		}
+		models[mi] = model
+		ps.Base[m.mech] = res
+		ps.Tolerance[m.mech] = model.LatencyTolerance(ToleranceGrowth) * oneWay
 		ps.Simulated++
-		alive++
-		for i := range xs {
-			ps.Points[i].Pred[job.mech] = m.Solve(job.points[i])
+		for i := range g.xs {
+			ps.Points[i].Pred[m.mech] = model.Solve(m.points[i])
 		}
 	}
-	if alive == 0 {
+	if len(ps.Base) == 0 {
 		return nil, firstErr
 	}
 
 	// Phase 2: pick the validation set. Base-config points are free
 	// (the instrumented run is that simulation, CritPath being passive);
 	// the rest simulate always without Prune, on demand with it.
-	need := make([]bool, len(xs))
+	need := make([]bool, len(g.xs))
 	if !opt.Prune {
 		for i := range need {
 			need[i] = true
 		}
 	} else {
-		for i := range xs {
-			for ji := range jobs {
-				if models[ji] == nil {
-					continue
-				}
-				if ps.Points[i].Pred[jobs[ji].mech].Confidence < opt.ConfidenceFloor {
+		for i := range g.xs {
+			for mi, m := range g.mechs {
+				if models[mi] != nil && ps.Points[i].Pred[m.mech].Confidence < pruneConfidenceFloor {
 					need[i] = true
 				}
 			}
-			if a, b, ok := topTwo(ps.Points[i].Pred); ok && b > 0 && float64(b-a) <= opt.CrossoverMargin*float64(a) {
+			if a, b, ok := topTwo(ps.Points[i].Pred); ok && b > 0 && float64(b-a) <= pruneCrossoverMargin*float64(a) {
 				need[i] = true
 			}
 		}
 		// A predicted order flip between adjacent points is a crossover;
 		// simulate both ends so the hybrid curve nails its position.
-		for ji := range jobs {
-			for jk := ji + 1; jk < len(jobs); jk++ {
-				if models[ji] == nil || models[jk] == nil {
+		for mi := range g.mechs {
+			for mk := mi + 1; mk < len(g.mechs); mk++ {
+				if models[mi] == nil || models[mk] == nil {
 					continue
 				}
-				a, b := jobs[ji].mech, jobs[jk].mech
-				for i := 1; i < len(xs); i++ {
+				a, b := g.mechs[mi].mech, g.mechs[mk].mech
+				for i := 1; i < len(g.xs); i++ {
 					d0 := ps.Points[i-1].Pred[a].Cycles - ps.Points[i-1].Pred[b].Cycles
 					d1 := ps.Points[i].Pred[a].Cycles - ps.Points[i].Pred[b].Cycles
 					if d0 != 0 && d1 != 0 && (d0 < 0) != (d1 < 0) {
@@ -217,39 +190,20 @@ func (r *Runner) predictedSweep(app AppName, sc Scale, jobs []predictJob, xs []f
 		}
 	}
 
-	// Phase 3: run the validation simulations. Identical configs (the
-	// flat reference mechanisms of the context-switch sweep) dedupe
-	// through the memo, so count distinct fingerprints, not jobs.
-	type simRef struct{ pt, job int }
-	var (
-		rcs  []RunConfig
-		refs []simRef
-	)
-	distinct := make(map[RunConfig]bool)
-	for i := range xs {
-		for ji, job := range jobs {
-			if models[ji] == nil {
-				continue
+	// Phase 3: run the validation simulations, each distinct config
+	// once. A point at its mechanism's base config is the instrumented
+	// run itself.
+	cells, distinct, _ := r.runGrid(app, sc, g, false, func(i, mi int) bool {
+		m := g.mechs[mi]
+		return models[mi] != nil && need[i] && m.cfgs[i] != m.base
+	})
+	ps.Simulated += distinct
+	for i := range ps.Points {
+		ps.Points[i].Sim = cells[i]
+		for mi, m := range g.mechs {
+			if models[mi] != nil && m.cfgs[i] == m.base {
+				cells[i][m.mech] = ps.Base[m.mech]
 			}
-			if job.cfgs[i] == job.base {
-				// The instrumented run is this point's simulation.
-				ps.Points[i].Sim[job.mech] = ps.Base[job.mech]
-				continue
-			}
-			if !need[i] {
-				continue
-			}
-			rc := RunConfig{App: app, Mech: job.mech, Scale: sc, Machine: job.cfgs[i], SkipValidate: true}
-			rcs = append(rcs, rc)
-			refs = append(refs, simRef{pt: i, job: ji})
-			distinct[fingerprint(rc)] = true
-		}
-	}
-	ps.Simulated += len(distinct)
-	results, errs := r.RunBatchAll(rcs)
-	for k, ref := range refs {
-		if errs[k] == nil {
-			ps.Points[ref.pt].Sim[jobs[ref.job].mech] = results[k]
 		}
 	}
 	return ps, nil
@@ -273,30 +227,30 @@ func topTwo(pred map[apps.Mechanism]predict.Prediction) (best, second int64, ok 
 	return best, second, n >= 2
 }
 
-// MaxErrorPct reports the worst and mean absolute predicted-vs-measured
-// relative error over all mechanism-points that have both values, in
-// percent, and how many such points there are. The base points count —
-// they pin the exactness guarantee at 0%.
-func (ps *PredictedSweep) MaxErrorPct() (max, mean float64, n int) {
-	for i := range ps.Points {
+// Errors folds every mechanism-point that has both a prediction and a
+// simulation into ErrorStats, in point order and apps.Mechanisms order
+// within a point. The base points count — they pin the exactness
+// guarantee at 0%.
+func (ps *PredictedSweep) Errors() predict.ErrorStats {
+	var s predict.ErrorStats
+	for _, pt := range ps.Points {
 		for _, mech := range apps.Mechanisms {
-			sim, simOK := ps.Points[i].Sim[mech]
-			pred, ok := ps.Points[i].Pred[mech]
-			if !simOK || !ok || sim.Cycles == 0 {
-				continue
+			sim, simOK := pt.Sim[mech]
+			pred, ok := pt.Pred[mech]
+			if simOK && ok {
+				s.Add(float64(pred.Cycles), float64(sim.Cycles))
 			}
-			e := 100 * math.Abs(float64(pred.Cycles)-float64(sim.Cycles)) / float64(sim.Cycles)
-			if e > max {
-				max = e
-			}
-			mean += e
-			n++
 		}
 	}
-	if n > 0 {
-		mean /= float64(n)
-	}
-	return max, mean, n
+	return s
+}
+
+// MaxErrorPct reports the worst and mean absolute predicted-vs-measured
+// relative error in percent, and how many mechanism-points carry both
+// values (see Errors).
+func (ps *PredictedSweep) MaxErrorPct() (max, mean float64, n int) {
+	s := ps.Errors()
+	return s.MaxPct, s.MeanPct(), s.N
 }
 
 // HybridPoints renders the sweep as ordinary SweepPoints — the measured
@@ -346,126 +300,28 @@ func (ps *PredictedSweep) FastestPerPoint() []apps.Mechanism {
 	return out
 }
 
-// PredictedClockSweep is the predicted form of ClockSweep (Figure 9):
-// one instrumented run per mechanism at the base clock, re-solved for
-// every clock in mhzs. Slowing the clock leaves network picoseconds
-// untouched but shrinks them relative to a cycle, so in base-run time
-// units both network components scale by mhz/base — LatScale and
-// BWScale move together.
-func (r *Runner) PredictedClockSweep(app AppName, sc Scale, mechs []apps.Mechanism, base machine.Config, mhzs []float64, opt PredictOptions) (*PredictedSweep, error) {
-	xs := make([]float64, len(mhzs))
-	cfgs := make([]machine.Config, len(mhzs))
-	points := make([]predict.Point, len(mhzs))
-	for i, mhz := range mhzs {
-		cfg := base
-		cfg.ClockMHz = mhz
-		cfgs[i] = cfg
-		xs[i] = NetLatencyCycles(cfg)
-		s := mhz / base.ClockMHz
-		points[i] = predict.Point{LatScale: s, BWScale: s}
-	}
-	jobs := make([]predictJob, len(mechs))
-	for ji, mech := range mechs {
-		jobs[ji] = predictJob{mech: mech, base: base, points: points, cfgs: cfgs, baseOneWay: NetLatencyCycles(base)}
-	}
-	return r.predictedSweep(app, sc, jobs, xs, opt)
-}
-
-// xHopFrac is the expected fraction of a uniform-traffic route's hops
-// that lie in the X dimension of a w-by-h mesh (E|dx| = (w^2-1)/(3w)
-// for independent uniform endpoints): the share of a packet's hop
-// latency exposed to the horizontal cross-traffic streams.
-func xHopFrac(w, h int) float64 {
-	ex := float64(w*w-1) / float64(3*w)
-	ey := float64(h*h-1) / float64(3*h)
-	if ex+ey == 0 {
-		return 0
-	}
-	return ex / (ex + ey)
-}
-
 // PredictedBisectionSweep is the predicted form of BisectionSweep
-// (Figure 8). A cross-traffic stream consuming u = rate/native of the
-// cut reserves every X link it crosses for its message's serialization
-// time, so an application packet's head waits, on average, the residual
-// of that occupancy (u*S/2) at each X hop — a queueing delay on the
-// latency component, not a stretch of the application's own
-// serialization, which still moves at full link rate once the link is
-// won. LatScale folds that expected wait into each edge's hop latency;
-// BWScale stays 1. The mapping's blind spot is compounding queueing
-// near saturation, so the cross-traffic utilization rides along as
-// ExtraRho: the model distrusts exactly the points it cannot see, and
-// the pruned mode simulates them.
+// (Figure 8) over the same grid: one instrumented run per mechanism on
+// the idle machine, re-solved for every cross-traffic rate (see
+// bisectionGrid for the queueing mapping).
 func (r *Runner) PredictedBisectionSweep(app AppName, sc Scale, mechs []apps.Mechanism, base machine.Config, crossRates []float64, msgBytes int, opt PredictOptions) (*PredictedSweep, error) {
-	native := mesh.Config{Width: base.Width, Height: base.Height, HopLatency: base.HopLatency, PsPerByte: base.PsPerByte}.
-		BisectionBytesPerCycle(clockOf(base))
-	sCross := float64(msgBytes) * float64(base.PsPerByte) // link occupancy per cross packet, ps
-	fx := xHopFrac(base.Width, base.Height)
-	xs := make([]float64, len(crossRates))
-	cfgs := make([]machine.Config, len(crossRates))
-	points := make([]predict.Point, len(crossRates))
-	for i, rate := range crossRates {
-		cfg := base
-		if rate > 0 {
-			cfg.CrossTraffic = mesh.CrossTraffic{MsgBytes: msgBytes, BytesPerCycle: rate}
-		}
-		cfgs[i] = cfg
-		xs[i] = native - rate
-		u := 0.0
-		if rate > 0 && native > 0 {
-			u = rate / native
-			if u > 1 {
-				u = 1
-			}
-		}
-		lat := 1.0
-		if u > 0 && base.HopLatency > 0 {
-			lat = 1 + fx*u*sCross/(2*float64(base.HopLatency))
-		}
-		points[i] = predict.Point{LatScale: lat, BWScale: 1, ExtraRho: u}
-	}
-	jobs := make([]predictJob, len(mechs))
-	for ji, mech := range mechs {
-		jobs[ji] = predictJob{mech: mech, base: base, points: points, cfgs: cfgs, baseOneWay: NetLatencyCycles(base)}
-	}
-	return r.predictedSweep(app, sc, jobs, xs, opt)
+	return r.predictedSweep(app, sc, bisectionGrid(mechs, base, crossRates, msgBytes), opt)
+}
+
+// PredictedClockSweep is the predicted form of ClockSweep (Figure 9)
+// over the same grid: one instrumented run per mechanism at the base
+// clock, re-solved for every clock in mhzs.
+func (r *Runner) PredictedClockSweep(app AppName, sc Scale, mechs []apps.Mechanism, base machine.Config, mhzs []float64, opt PredictOptions) (*PredictedSweep, error) {
+	return r.predictedSweep(app, sc, clockGrid(mechs, base, mhzs), opt)
 }
 
 // PredictedContextSwitchSweep is the predicted form of
-// ContextSwitchSweep (Figure 10): the shared-memory mechanisms are
-// instrumented once under the ideal-network emulation at the first
-// latency and re-solved with LatScale = lat/first; the message-passing
+// ContextSwitchSweep (Figure 10) over the same grid: the shared-memory
+// mechanisms are instrumented once under the ideal-network emulation at
+// the first latency and re-solved at the others; the message-passing
 // mechanisms are untouched by the emulation, so their instrumented base
 // runs on the real network stand at every point, exactly like the
-// hoisted reference runs of the simulated sweep.
+// shared reference runs of the simulated sweep.
 func (r *Runner) PredictedContextSwitchSweep(app AppName, sc Scale, mechs []apps.Mechanism, base machine.Config, oneWayCycles []int64, opt PredictOptions) (*PredictedSweep, error) {
-	xs := make([]float64, len(oneWayCycles))
-	for i, lat := range oneWayCycles {
-		xs[i] = float64(lat)
-	}
-	jobs := make([]predictJob, len(mechs))
-	for ji, mech := range mechs {
-		job := predictJob{mech: mech, points: make([]predict.Point, len(oneWayCycles)), cfgs: make([]machine.Config, len(oneWayCycles))}
-		if mech.UsesMessages() {
-			job.base = base
-			job.baseOneWay = NetLatencyCycles(base)
-			for i := range oneWayCycles {
-				job.points[i] = predict.Base
-				job.cfgs[i] = base
-			}
-		} else {
-			swBase := base
-			swBase.IdealNetOneWayCycles = oneWayCycles[0]
-			job.base = swBase
-			job.baseOneWay = float64(oneWayCycles[0])
-			for i, lat := range oneWayCycles {
-				cfg := base
-				cfg.IdealNetOneWayCycles = lat
-				job.cfgs[i] = cfg
-				job.points[i] = predict.Point{LatScale: float64(lat) / float64(oneWayCycles[0]), BWScale: 1}
-			}
-		}
-		jobs[ji] = job
-	}
-	return r.predictedSweep(app, sc, jobs, xs, opt)
+	return r.predictedSweep(app, sc, contextSwitchGrid(mechs, base, oneWayCycles), opt)
 }

@@ -198,3 +198,63 @@ func TestPredictedContextSwitchSweep(t *testing.T) {
 		t.Errorf("SM latency tolerance = %v cycles, want > the 15-cycle base or +Inf", tol)
 	}
 }
+
+// TestPredictedAndSimulatedSweepsShareGrid: each methodology's
+// simulated sweep and its fully validated predicted sweep, each on a
+// fresh runner, report the same X values and the same simulated cycles
+// at every (point, mechanism) — one grid drives both.
+func TestPredictedAndSimulatedSweepsShareGrid(t *testing.T) {
+	base := machine.DefaultConfig()
+	mechs := []apps.Mechanism{apps.SM, apps.MPPoll}
+	rates, mhzs, lats := []float64{0, 4}, []float64{20, 16}, []int64{15, 50}
+	for _, tc := range []struct {
+		name string
+		sim  func(r *Runner) ([]SweepPoint, error)
+		pred func(r *Runner) (*PredictedSweep, error)
+	}{
+		{"bisection",
+			func(r *Runner) ([]SweepPoint, error) {
+				return r.BisectionSweep(EM3D, ScaleTiny, mechs, base, rates, 64)
+			},
+			func(r *Runner) (*PredictedSweep, error) {
+				return r.PredictedBisectionSweep(EM3D, ScaleTiny, mechs, base, rates, 64, PredictOptions{})
+			}},
+		{"clock",
+			func(r *Runner) ([]SweepPoint, error) { return r.ClockSweep(EM3D, ScaleTiny, mechs, base, mhzs) },
+			func(r *Runner) (*PredictedSweep, error) {
+				return r.PredictedClockSweep(EM3D, ScaleTiny, mechs, base, mhzs, PredictOptions{})
+			}},
+		{"context switch",
+			func(r *Runner) ([]SweepPoint, error) { return r.ContextSwitchSweep(EM3D, ScaleTiny, mechs, base, lats) },
+			func(r *Runner) (*PredictedSweep, error) {
+				return r.PredictedContextSwitchSweep(EM3D, ScaleTiny, mechs, base, lats, PredictOptions{})
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pts, err := tc.sim(NewRunner(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ps, err := tc.pred(NewRunner(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(pts) != len(ps.Points) {
+				t.Fatalf("simulated sweep has %d points, predicted %d", len(pts), len(ps.Points))
+			}
+			for i, pt := range pts {
+				if pt.X != ps.Points[i].X {
+					t.Errorf("point %d: simulated X %v, predicted X %v", i, pt.X, ps.Points[i].X)
+				}
+				for _, mech := range mechs {
+					s, ok := pt.Results[mech]
+					v, vok := ps.Points[i].Sim[mech]
+					if !ok || !vok || s.Cycles != v.Cycles {
+						t.Errorf("point %d %v: simulated %d (present %v), predicted sweep's simulation %d (present %v)",
+							i, mech, s.Cycles, ok, v.Cycles, vok)
+					}
+				}
+			}
+		})
+	}
+}

@@ -55,9 +55,13 @@ func NewRunner(workers int) *Runner {
 	return &Runner{workers: workers, cache: make(map[RunConfig]*runnerEntry)}
 }
 
-// DefaultRunner executes the package-level sweep functions. Its cache
-// persists across sweeps, so e.g. regenerating Figure 8 after Figure 7
-// reuses any overlapping points.
+// DefaultRunner is the process-wide runner the figures and the public
+// facade sweep on: points and mechanisms execute concurrently on a
+// worker pool and identical configurations are memoized, with results
+// bit-identical to serial execution. Its cache persists across sweeps,
+// so e.g. regenerating Figure 8 after Figure 7 reuses any overlapping
+// points. Use a fresh Runner for an isolated cache or an explicit
+// worker count.
 var DefaultRunner = NewRunner(0)
 
 // SetDefaultWorkers resets the default runner to n workers (n <= 0 means
@@ -283,152 +287,47 @@ func (r *Runner) RunBatchAll(rcs []RunConfig) (out []RunResult, errs []error) {
 	return out, errs
 }
 
-// sweepJobs fans out the cross-product of per-point machine configs and
-// mechanisms, then folds the results back into ordered SweepPoints. This
-// is the common core of the Bisection/Clock/MsgLen sweeps; the
-// ContextSwitch sweep has its own fold (reference mechanisms are hoisted
-// out of the point loop).
-//
-// Failed runs are isolated, not fatal: a crashing point is simply absent
-// from its SweepPoint.Results (downstream analysis like Crossover skips
-// partial mechanism sets), and the RunError is recorded on the Runner for
-// reporting via Failures. The sweep errors only when nothing succeeded.
-func (r *Runner) sweepJobs(app AppName, sc Scale, mechs []apps.Mechanism, cfgs []machine.Config, xs []float64) ([]SweepPoint, error) {
-	return r.sweepJobsScaled(app, sc, mechs, cfgs, xs, false)
-}
-
-// sweepJobsScaled is sweepJobs with an explicit problem-scaling mode
-// (the node-scaling sweep runs both; every fixed-geometry sweep passes
-// false).
-func (r *Runner) sweepJobsScaled(app AppName, sc Scale, mechs []apps.Mechanism, cfgs []machine.Config, xs []float64, scaleProblem bool) ([]SweepPoint, error) {
-	jobs := make([]RunConfig, 0, len(cfgs)*len(mechs))
-	for _, cfg := range cfgs {
-		for _, mech := range mechs {
-			jobs = append(jobs, RunConfig{App: app, Mech: mech, Scale: sc, Machine: cfg, ScaleProblem: scaleProblem, SkipValidate: true})
-		}
-	}
-	results, errs := r.RunBatchAll(jobs)
-	if err := allFailed(errs); err != nil {
-		return nil, err
-	}
-	out := make([]SweepPoint, len(cfgs))
-	for pi := range cfgs {
-		pt := SweepPoint{X: xs[pi], Results: make(map[apps.Mechanism]RunResult, len(mechs))}
-		for mi, mech := range mechs {
-			if j := pi*len(mechs) + mi; errs[j] == nil {
-				pt.Results[mech] = results[j]
-			}
-		}
-		out[pi] = pt
-	}
-	return out, nil
-}
-
-// allFailed returns the first error if every job in a nonempty batch
-// failed (a wholly failed sweep should surface, not return empty points),
-// and nil otherwise.
-func allFailed(errs []error) error {
-	var first error
-	for _, err := range errs {
-		if err == nil {
-			return nil
-		}
-		if first == nil {
-			first = err
-		}
-	}
-	return first
-}
-
-// BisectionSweep is the parallel, memoized form of the package-level
-// BisectionSweep (Figure 8 methodology).
+// BisectionSweep reproduces the Figure 8 methodology: I/O cross-traffic
+// consumes crossRates[i] bytes/cycle of the bisection; each point's X is
+// the emulated bisection (native minus cross-traffic) in bytes per
+// processor cycle. msgBytes is the cross-traffic message size (the paper
+// settles on 64 after Figure 7).
 func (r *Runner) BisectionSweep(app AppName, sc Scale, mechs []apps.Mechanism, base machine.Config, crossRates []float64, msgBytes int) ([]SweepPoint, error) {
-	cfgs := make([]machine.Config, len(crossRates))
-	xs := make([]float64, len(crossRates))
-	native := mesh.Config{Width: base.Width, Height: base.Height, HopLatency: base.HopLatency, PsPerByte: base.PsPerByte}.
-		BisectionBytesPerCycle(clockOf(base))
-	for i, rate := range crossRates {
-		cfg := base
-		if rate > 0 {
-			cfg.CrossTraffic = mesh.CrossTraffic{MsgBytes: msgBytes, BytesPerCycle: rate}
-		}
-		cfgs[i] = cfg
-		xs[i] = native - rate
-	}
-	return r.sweepJobs(app, sc, mechs, cfgs, xs)
+	return r.simulate(app, sc, bisectionGrid(mechs, base, crossRates, msgBytes), false)
 }
 
-// ClockSweep is the parallel, memoized form of the package-level
-// ClockSweep (Figure 9 methodology).
+// ClockSweep reproduces the Figure 9 methodology: the processor clock
+// varies (the paper's 14-20 MHz range and beyond) while the asynchronous
+// network is untouched, so relative network latency varies. X is the
+// one-way network latency of a 24-byte packet in processor cycles over
+// the average distance (the paper's Table 1 convention).
 func (r *Runner) ClockSweep(app AppName, sc Scale, mechs []apps.Mechanism, base machine.Config, mhzs []float64) ([]SweepPoint, error) {
-	cfgs := make([]machine.Config, len(mhzs))
-	xs := make([]float64, len(mhzs))
-	for i, mhz := range mhzs {
-		cfg := base
-		cfg.ClockMHz = mhz
-		cfgs[i] = cfg
-		xs[i] = NetLatencyCycles(cfg)
-	}
-	return r.sweepJobs(app, sc, mechs, cfgs, xs)
+	return r.simulate(app, sc, clockGrid(mechs, base, mhzs), false)
 }
 
-// ContextSwitchSweep is the parallel, memoized form of the package-level
-// ContextSwitchSweep (Figure 10 methodology). The emulated latency only
-// applies to the shared-memory mechanisms; the message-passing curves are
-// flat reference lines, so those runs are hoisted out of the per-latency
-// loop and executed once each, independent of the memo cache.
+// ContextSwitchSweep reproduces the Figure 10 methodology: every remote
+// miss costs a uniform emulated latency over an ideal network (infinite
+// bandwidth). Only the shared-memory mechanisms are affected; the paper
+// plots message-passing curves for reference only, and so does this
+// sweep (their machine config is untouched, so they execute once and are
+// shared across points). X is the emulated one-way latency in processor
+// cycles.
 func (r *Runner) ContextSwitchSweep(app AppName, sc Scale, mechs []apps.Mechanism, base machine.Config, oneWayCycles []int64) ([]SweepPoint, error) {
-	var refMechs, swMechs []apps.Mechanism
-	for _, mech := range mechs {
-		if mech.UsesMessages() {
-			refMechs = append(refMechs, mech)
-		} else {
-			swMechs = append(swMechs, mech)
-		}
-	}
-	jobs := make([]RunConfig, 0, len(refMechs)+len(oneWayCycles)*len(swMechs))
-	for _, mech := range refMechs {
-		jobs = append(jobs, RunConfig{App: app, Mech: mech, Scale: sc, Machine: base, SkipValidate: true})
-	}
-	for _, lat := range oneWayCycles {
-		cfg := base
-		cfg.IdealNetOneWayCycles = lat
-		for _, mech := range swMechs {
-			jobs = append(jobs, RunConfig{App: app, Mech: mech, Scale: sc, Machine: cfg, SkipValidate: true})
-		}
-	}
-	results, errs := r.RunBatchAll(jobs)
-	if err := allFailed(errs); err != nil {
-		return nil, err
-	}
-	out := make([]SweepPoint, len(oneWayCycles))
-	for pi, lat := range oneWayCycles {
-		pt := SweepPoint{X: float64(lat), Results: make(map[apps.Mechanism]RunResult, len(mechs))}
-		for mi, mech := range refMechs {
-			if errs[mi] == nil {
-				pt.Results[mech] = results[mi]
-			}
-		}
-		for mi, mech := range swMechs {
-			if j := len(refMechs) + pi*len(swMechs) + mi; errs[j] == nil {
-				pt.Results[mech] = results[j]
-			}
-		}
-		out[pi] = pt
-	}
-	return out, nil
+	return r.simulate(app, sc, contextSwitchGrid(mechs, base, oneWayCycles), false)
 }
 
-// NodeScalingSweep is the Figure S1 methodology: the same application
-// and mechanisms across machine geometries of nodeCounts nodes each
-// (canonical machine.Geometry shapes; base supplies every non-geometry
-// knob). X is the node count. With scaleProblem false the problem size
-// stays at the scale's fixed size (strong scaling); with true it grows
-// proportionally to the node count (weak scaling, constant work per
-// processor). Node counts whose workload cannot be partitioned (e.g. a
-// fixed-size graph with fewer nodes than processors) are isolated like
-// crashed points: absent from that point's Results, reported via
-// Failures only when the run itself crashed.
+// NodeScalingSweep reproduces the Figure S1 methodology: the same
+// application and mechanisms across machine geometries of nodeCounts
+// nodes each (canonical machine.Geometry shapes; base supplies every
+// non-geometry knob). X is the node count. With scaleProblem false the
+// problem size stays at the scale's fixed size (strong scaling); with
+// true it grows proportionally to the node count (weak scaling, constant
+// work per processor). The paper never ran beyond 32 nodes; this sweep
+// is the reproduction's extrapolation of its central question to the
+// scale-out regime. Node counts whose workload cannot be partitioned
+// (e.g. a fixed-size graph with fewer nodes than processors) are
+// isolated like crashed points: absent from that point's Results,
+// reported via Failures only when the run itself crashed.
 func (r *Runner) NodeScalingSweep(app AppName, sc Scale, mechs []apps.Mechanism, base machine.Config, nodeCounts []int, scaleProblem bool) ([]SweepPoint, error) {
 	cfgs := make([]machine.Config, len(nodeCounts))
 	xs := make([]float64, len(nodeCounts))
@@ -442,11 +341,14 @@ func (r *Runner) NodeScalingSweep(app AppName, sc Scale, mechs []apps.Mechanism,
 		cfgs[i] = cfg
 		xs[i] = float64(n)
 	}
-	return r.sweepJobsScaled(app, sc, mechs, cfgs, xs, scaleProblem)
+	return r.simulate(app, sc, uniformGrid(xs, mechs, base, cfgs, nil), scaleProblem)
 }
 
-// MsgLenSweep is the parallel, memoized form of the package-level
-// MsgLenSweep (Figure 7 methodology).
+// MsgLenSweep reproduces Figure 7: the sensitivity of the bisection
+// emulation to the cross-traffic message length. It holds the emulated
+// bisection constant and varies the message size; X is the message size
+// in bytes, and the result records the application runtime plus the
+// achieved cross-traffic rate.
 func (r *Runner) MsgLenSweep(app AppName, sc Scale, mech apps.Mechanism, base machine.Config, crossRate float64, sizes []int) ([]SweepPoint, error) {
 	cfgs := make([]machine.Config, len(sizes))
 	xs := make([]float64, len(sizes))
@@ -456,5 +358,5 @@ func (r *Runner) MsgLenSweep(app AppName, sc Scale, mech apps.Mechanism, base ma
 		cfgs[i] = cfg
 		xs[i] = float64(size)
 	}
-	return r.sweepJobs(app, sc, []apps.Mechanism{mech}, cfgs, xs)
+	return r.simulate(app, sc, uniformGrid(xs, []apps.Mechanism{mech}, base, cfgs, nil), false)
 }

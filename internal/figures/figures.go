@@ -168,7 +168,7 @@ func PrintSweep(w io.Writer, title, xlabel string, mechs []apps.Mechanism, pts [
 
 // Fig8 runs and prints the bisection sweep for one application.
 func Fig8(w io.Writer, app core.AppName, sc core.Scale, cfg machine.Config, rates []float64) ([]core.SweepPoint, error) {
-	pts, err := core.BisectionSweep(app, sc, apps.Mechanisms, cfg, rates, 64)
+	pts, err := core.DefaultRunner.BisectionSweep(app, sc, apps.Mechanisms, cfg, rates, 64)
 	if err != nil {
 		return nil, err
 	}
@@ -184,7 +184,7 @@ func Fig8(w io.Writer, app core.AppName, sc core.Scale, cfg machine.Config, rate
 
 // Fig9 runs and prints the clock-scaling sweep for one application.
 func Fig9(w io.Writer, app core.AppName, sc core.Scale, cfg machine.Config, mhzs []float64) ([]core.SweepPoint, error) {
-	pts, err := core.ClockSweep(app, sc, apps.Mechanisms, cfg, mhzs)
+	pts, err := core.DefaultRunner.ClockSweep(app, sc, apps.Mechanisms, cfg, mhzs)
 	if err != nil {
 		return nil, err
 	}
@@ -196,7 +196,7 @@ func Fig9(w io.Writer, app core.AppName, sc core.Scale, cfg machine.Config, mhzs
 // Fig10 runs and prints the context-switch latency emulation for one
 // application (message-passing curves are fixed references).
 func Fig10(w io.Writer, app core.AppName, sc core.Scale, cfg machine.Config, lats []int64) ([]core.SweepPoint, error) {
-	pts, err := core.ContextSwitchSweep(app, sc, apps.Mechanisms, cfg, lats)
+	pts, err := core.DefaultRunner.ContextSwitchSweep(app, sc, apps.Mechanisms, cfg, lats)
 	if err != nil {
 		return nil, err
 	}
@@ -207,7 +207,7 @@ func Fig10(w io.Writer, app core.AppName, sc core.Scale, cfg machine.Config, lat
 
 // Fig7 runs and prints the cross-traffic message-length sensitivity.
 func Fig7(w io.Writer, app core.AppName, sc core.Scale, cfg machine.Config, rate float64, sizes []int) ([]core.SweepPoint, error) {
-	pts, err := core.MsgLenSweep(app, sc, apps.SM, cfg, rate, sizes)
+	pts, err := core.DefaultRunner.MsgLenSweep(app, sc, apps.SM, cfg, rate, sizes)
 	if err != nil {
 		return nil, err
 	}

@@ -12,16 +12,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/model"
+	"repro/internal/predict"
 )
-
-// growthOf reports the latency-tolerance growth target an options value
-// resolves to (core applies the same default internally).
-func growthOf(opt core.PredictOptions) float64 {
-	if opt.GrowthTarget == 0 {
-		return 0.10
-	}
-	return opt.GrowthTarget
-}
 
 // PrintPredictedSweep renders a predicted sweep: one row per
 // (X, mechanism) with the dependency-graph prediction, the validating
@@ -67,17 +59,12 @@ func PrintPredictedSweep(w io.Writer, title, xlabel string, mechs []apps.Mechani
 	fmt.Fprintln(w)
 }
 
-// WritePredictedCSV emits a predicted sweep as CSV: one row per
-// (X, mechanism) with prediction, validating simulation (empty cells
-// where pruning skipped it), error, and the model's confidence and
-// estimated bisection utilization.
-func WritePredictedCSV(w io.Writer, xlabel string, mechs []apps.Mechanism, ps *core.PredictedSweep) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
-		xlabel, "mechanism", "predicted_cycles", "simulated_cycles", "error_pct", "confidence", "rho",
-	}); err != nil {
-		return err
-	}
+// predictedRows renders a predicted sweep as CSV records, one per
+// (X, mechanism) in mechs order: X, mechanism, prediction, validating
+// simulation and error (empty cells where pruning skipped it), and the
+// model's confidence and estimated bisection utilization.
+func predictedRows(mechs []apps.Mechanism, ps *core.PredictedSweep) [][]string {
+	var rows [][]string
 	for _, pt := range ps.Points {
 		for _, m := range mechs {
 			pred, ok := pt.Pred[m]
@@ -90,19 +77,30 @@ func WritePredictedCSV(w io.Writer, xlabel string, mechs []apps.Mechanism, ps *c
 				errCol = strconv.FormatFloat(
 					100*math.Abs(float64(pred.Cycles)-float64(sim.Cycles))/float64(sim.Cycles), 'f', 3, 64)
 			}
-			row := []string{
+			rows = append(rows, []string{
 				strconv.FormatFloat(pt.X, 'f', 2, 64), m.String(),
 				strconv.FormatInt(pred.Cycles, 10), simCol, errCol,
 				strconv.FormatFloat(pred.Confidence, 'f', 4, 64),
 				strconv.FormatFloat(pred.Rho, 'f', 4, 64),
-			}
-			if err := cw.Write(row); err != nil {
-				return err
-			}
+			})
 		}
 	}
-	cw.Flush()
-	return cw.Error()
+	return rows
+}
+
+// predictedHeader names predictedRows' columns after the X label.
+var predictedHeader = []string{"mechanism", "predicted_cycles", "simulated_cycles", "error_pct", "confidence", "rho"}
+
+// WritePredictedCSV emits a predicted sweep as CSV: one row per
+// (X, mechanism) with prediction, validating simulation (empty cells
+// where pruning skipped it), error, and the model's confidence and
+// estimated bisection utilization.
+func WritePredictedCSV(w io.Writer, xlabel string, mechs []apps.Mechanism, ps *core.PredictedSweep) error {
+	cw := csv.NewWriter(w)
+	if err := cw.Write(append([]string{xlabel}, predictedHeader...)); err != nil {
+		return err
+	}
+	return cw.WriteAll(predictedRows(mechs, ps))
 }
 
 // PredictedFig4 is one application's slice of the -fig 4 -predict
@@ -133,10 +131,10 @@ var (
 // base run per mechanism, printed with their per-point errors and
 // latency tolerances. It returns the per-app sweeps plus the aggregate
 // error statistics over every validated mechanism-point.
-func PredFig4(w io.Writer, appsToRun []core.AppName, sc core.Scale, cfg machine.Config, opt core.PredictOptions) ([]PredictedFig4, model.ErrorStats, error) {
+func PredFig4(w io.Writer, appsToRun []core.AppName, sc core.Scale, cfg machine.Config, opt core.PredictOptions) ([]PredictedFig4, predict.ErrorStats, error) {
 	var (
 		rows  []PredictedFig4
-		stats model.ErrorStats
+		stats predict.ErrorStats
 	)
 	fmt.Fprintln(w, "Figure 4 (predicted): dependency-graph model vs simulation, per app and mechanism")
 	for _, app := range appsToRun {
@@ -154,39 +152,23 @@ func PredFig4(w io.Writer, appsToRun []core.AppName, sc core.Scale, cfg machine.
 		}
 		fmt.Fprintln(w)
 		PrintPredictedSweep(w, fmt.Sprintf("[%s] clock axis (Figure 9 grid)", app),
-			"net latency (cycles)", apps.Mechanisms, clock, growthOf(opt))
+			"net latency (cycles)", apps.Mechanisms, clock, core.ToleranceGrowth)
 		PrintPredictedSweep(w, fmt.Sprintf("[%s] bisection axis (Figure 8 grid)", app),
-			"bytes/cycle", apps.Mechanisms, bisect, growthOf(opt))
+			"bytes/cycle", apps.Mechanisms, bisect, core.ToleranceGrowth)
 		rows = append(rows, PredictedFig4{App: app, Clock: clock, Bisection: bisect})
-		for _, ps := range []*core.PredictedSweep{clock, bisect} {
-			stats.Merge(sweepErrors(ps))
-		}
+		stats.Merge(clock.Errors())
+		stats.Merge(bisect.Errors())
 	}
 	fmt.Fprintf(w, "\nmatrix total: worst error %.1f%%, mean %.1f%% over %d validated mechanism-points\n",
 		stats.MaxPct, stats.MeanPct(), stats.N)
 	return rows, stats, nil
 }
 
-// sweepErrors folds a predicted sweep's validated points into ErrorStats.
-func sweepErrors(ps *core.PredictedSweep) model.ErrorStats {
-	var s model.ErrorStats
-	for _, pt := range ps.Points {
-		for mech, sim := range pt.Sim {
-			if pred, ok := pt.Pred[mech]; ok {
-				s.Add(float64(pred.Cycles), float64(sim.Cycles))
-			}
-		}
-	}
-	return s
-}
-
 // WritePredictedFig4CSV emits the validation matrix as CSV, both axes
-// per app in one file.
+// per app in one file: predictedRows prefixed with the app and axis.
 func WritePredictedFig4CSV(w io.Writer, rows []PredictedFig4) error {
 	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{
-		"app", "axis", "x", "mechanism", "predicted_cycles", "simulated_cycles", "error_pct", "confidence", "rho",
-	}); err != nil {
+	if err := cw.Write(append([]string{"app", "axis", "x"}, predictedHeader...)); err != nil {
 		return err
 	}
 	for _, r := range rows {
@@ -194,27 +176,9 @@ func WritePredictedFig4CSV(w io.Writer, rows []PredictedFig4) error {
 			name string
 			ps   *core.PredictedSweep
 		}{{"clock", r.Clock}, {"bisection", r.Bisection}} {
-			for _, pt := range axis.ps.Points {
-				for _, m := range apps.Mechanisms {
-					pred, ok := pt.Pred[m]
-					if !ok {
-						continue
-					}
-					simCol, errCol := "", ""
-					if sim, ok := pt.Sim[m]; ok && sim.Cycles > 0 {
-						simCol = strconv.FormatInt(sim.Cycles, 10)
-						errCol = strconv.FormatFloat(
-							100*math.Abs(float64(pred.Cycles)-float64(sim.Cycles))/float64(sim.Cycles), 'f', 3, 64)
-					}
-					if err := cw.Write([]string{
-						string(r.App), axis.name,
-						strconv.FormatFloat(pt.X, 'f', 2, 64), m.String(),
-						strconv.FormatInt(pred.Cycles, 10), simCol, errCol,
-						strconv.FormatFloat(pred.Confidence, 'f', 4, 64),
-						strconv.FormatFloat(pred.Rho, 'f', 4, 64),
-					}); err != nil {
-						return err
-					}
+			for _, row := range predictedRows(apps.Mechanisms, axis.ps) {
+				if err := cw.Write(append([]string{string(r.App), axis.name}, row...)); err != nil {
+					return err
 				}
 			}
 		}
@@ -261,7 +225,7 @@ func PredFig8(w io.Writer, app core.AppName, sc core.Scale, cfg machine.Config, 
 		return nil, err
 	}
 	PrintPredictedSweep(w, fmt.Sprintf("Figure 8 (%s, predicted): execution cycles vs bisection bandwidth", app),
-		"bytes/cycle", apps.Mechanisms, ps, growthOf(opt))
+		"bytes/cycle", apps.Mechanisms, ps, core.ToleranceGrowth)
 	if x, ok := core.Crossover(ps.HybridPoints(), apps.SM, apps.MPPoll); ok {
 		fmt.Fprintf(w, "SM / MP-poll crossover at ~%.1f bytes/cycle\n", x)
 	} else {
@@ -277,7 +241,7 @@ func PredFig9(w io.Writer, app core.AppName, sc core.Scale, cfg machine.Config, 
 		return nil, err
 	}
 	PrintPredictedSweep(w, fmt.Sprintf("Figure 9 (%s, predicted): execution cycles vs network latency (clock scaling)", app),
-		"net latency (cycles)", apps.Mechanisms, ps, growthOf(opt))
+		"net latency (cycles)", apps.Mechanisms, ps, core.ToleranceGrowth)
 	return ps, nil
 }
 
@@ -290,7 +254,7 @@ func PredFig10(w io.Writer, app core.AppName, sc core.Scale, cfg machine.Config,
 		return nil, err
 	}
 	PrintPredictedSweep(w, fmt.Sprintf("Figure 10 (%s, predicted): execution cycles vs emulated uniform latency", app),
-		"one-way latency (cycles)", apps.Mechanisms, ps, growthOf(opt))
+		"one-way latency (cycles)", apps.Mechanisms, ps, core.ToleranceGrowth)
 	return ps, nil
 }
 
@@ -299,7 +263,7 @@ func PredFig10(w io.Writer, app core.AppName, sc core.Scale, cfg machine.Config,
 // fitted Section 2 closed form (which names the region) and the
 // dependency-graph replay (which should win on magnitude). Returns the
 // error statistics of each.
-func PrintGraphVsClosedForm(w io.Writer, app core.AppName, sc core.Scale, cfg machine.Config, lats []int64) (graphErr, closedErr model.ErrorStats, err error) {
+func PrintGraphVsClosedForm(w io.Writer, app core.AppName, sc core.Scale, cfg machine.Config, lats []int64) (graphErr, closedErr predict.ErrorStats, err error) {
 	opt := core.PredictOptions{} // full validation: every point simulated
 	ps, err := core.DefaultRunner.PredictedContextSwitchSweep(app, sc,
 		[]apps.Mechanism{apps.SM}, cfg, lats, opt)

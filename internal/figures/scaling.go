@@ -27,11 +27,11 @@ import (
 // whose workload cannot be partitioned that finely print "-" and are
 // skipped by the crossover scan.
 func FigS1(w io.Writer, app core.AppName, sc core.Scale, base machine.Config, nodeCounts []int) (fixed, scaled []core.SweepPoint, err error) {
-	fixed, err = core.NodeScalingSweep(app, sc, apps.Mechanisms, base, nodeCounts, false)
+	fixed, err = core.DefaultRunner.NodeScalingSweep(app, sc, apps.Mechanisms, base, nodeCounts, false)
 	if err != nil {
 		return nil, nil, err
 	}
-	scaled, err = core.NodeScalingSweep(app, sc, apps.Mechanisms, base, nodeCounts, true)
+	scaled, err = core.DefaultRunner.NodeScalingSweep(app, sc, apps.Mechanisms, base, nodeCounts, true)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -111,23 +111,15 @@ type CallGraph struct {
 	Fset  *token.FileSet
 	nodes []*CGNode
 	byObj map[*types.Func]*CGNode
-	byLit map[*ast.FuncLit]*CGNode
 }
 
 // Nodes returns every node in deterministic order.
 func (g *CallGraph) Nodes() []*CGNode { return g.nodes }
 
-// NodeFor returns the node for a declared function object, or nil.
-func (g *CallGraph) NodeFor(obj *types.Func) *CGNode { return g.byObj[obj] }
-
-// LitNode returns the node for a function literal, or nil.
-func (g *CallGraph) LitNode(lit *ast.FuncLit) *CGNode { return g.byLit[lit] }
-
 // BuildCallGraph constructs the call graph over the loaded packages.
 func BuildCallGraph(pkgs []*Package) *CallGraph {
 	g := &CallGraph{
 		byObj: make(map[*types.Func]*CGNode),
-		byLit: make(map[*ast.FuncLit]*CGNode),
 	}
 	if len(pkgs) > 0 {
 		g.Fset = pkgs[0].Fset
@@ -277,7 +269,6 @@ func (b *graphBuilder) walkBody(from *CGNode, pkg *Package, body ast.Node) {
 					name:   fmt.Sprintf("%s$%d", from.Name(), litIndex),
 				}
 				b.g.nodes = append(b.g.nodes, child)
-				b.g.byLit[n] = child
 				// The enclosing function holds a reference to the literal;
 				// whether and where it runs is up to whoever receives it.
 				cur.Edges = append(cur.Edges, CGEdge{To: child, Pos: n.Pos(), Kind: EdgeRef})

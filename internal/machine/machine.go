@@ -250,7 +250,7 @@ func New(cfg Config) *Machine {
 	if cfg.SpanCap > 0 {
 		m.Spans = obs.NewSpanBuffer(cfg.SpanCap)
 		eng.SetSpanObserver(func(th *sim.Thread, start, end sim.Time, blocked bool, reason string, arg int64) {
-			m.Spans.Record(obs.Span{
+			m.Spans.Add(obs.Span{
 				Thread: th.Name(), Start: start, End: end,
 				Blocked: blocked, Reason: reason, Arg: arg,
 			})

@@ -89,6 +89,3 @@ func DefaultParams() Params {
 		WriteBufferDepth: 8,
 	}
 }
-
-// LineBytesTotal returns the wire size of a line-carrying message.
-func (p Params) LineBytesTotal() int { return p.HdrBytes + p.LineBytes }

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 // PathCat classifies cycles on the critical path. The five categories
@@ -59,30 +60,6 @@ type CritEdge struct {
 	BW       sim.Time // serialization/occupancy part of [Start, End)
 }
 
-// critRing is a fixed-capacity edge ring (mirrors trace.Buffer).
-type critRing struct {
-	ring  []CritEdge
-	next  int
-	total int64
-}
-
-func (b *critRing) add(e CritEdge) {
-	b.total++
-	if len(b.ring) < cap(b.ring) {
-		b.ring = append(b.ring, e)
-		return
-	}
-	b.ring[b.next] = e
-	b.next = (b.next + 1) % cap(b.ring)
-}
-
-func (b *critRing) edges() []CritEdge {
-	out := make([]CritEdge, 0, len(b.ring))
-	out = append(out, b.ring[b.next:]...)
-	out = append(out, b.ring[:b.next]...)
-	return out
-}
-
 // CritRecorder accumulates the dependency information the critical-path
 // pass needs: per-node reclassification totals (how much of each node's
 // mem-wait and sync bucket time was really network latency or network
@@ -94,7 +71,7 @@ type CritRecorder struct {
 	// latSync/bwSync: same, reclassified out of BucketSync (awaited
 	// message transit time).
 	latSync, bwSync []sim.Time
-	ring            critRing
+	ring            trace.Ring[CritEdge]
 }
 
 // DefaultCritEdgeCap bounds the edge ring. Edges are a strict subset of
@@ -109,7 +86,7 @@ func NewCritRecorder(nodes int, edgeCap int) *CritRecorder {
 		bwMem:   make([]sim.Time, nodes),
 		latSync: make([]sim.Time, nodes),
 		bwSync:  make([]sim.Time, nodes),
-		ring:    critRing{ring: make([]CritEdge, 0, edgeCap)},
+		ring:    trace.NewRing[CritEdge](edgeCap),
 	}
 }
 
@@ -130,15 +107,15 @@ func (r *CritRecorder) MsgWait(node int, lat, bw sim.Time) {
 }
 
 // Edge records one causal edge.
-func (r *CritRecorder) Edge(e CritEdge) { r.ring.add(e) }
+func (r *CritRecorder) Edge(e CritEdge) { r.ring.Add(e) }
 
 // EdgesTotal reports how many edges were recorded over the run,
 // including ones the ring evicted.
-func (r *CritRecorder) EdgesTotal() int64 { return r.ring.total }
+func (r *CritRecorder) EdgesTotal() int64 { return r.ring.Total() }
 
 // Edges returns the retained edges stable-sorted by (End, Start).
 func (r *CritRecorder) Edges() []CritEdge {
-	all := r.ring.edges()
+	all := r.ring.Items()
 	sort.SliceStable(all, func(i, j int) bool {
 		if all[i].End != all[j].End {
 			return all[i].End < all[j].End
@@ -174,23 +151,6 @@ type CritEdgeSummary struct {
 	EndCycles   int64
 	LatCycles   int64
 	BWCycles    int64
-}
-
-// Cat returns the named category's cycle count.
-func (s *CritStats) Cat(c PathCat) int64 {
-	switch c {
-	case CatCompute:
-		return s.Compute
-	case CatMemStall:
-		return s.MemStall
-	case CatNetLatency:
-		return s.NetLatency
-	case CatNetBandwidth:
-		return s.NetBandwidth
-	case CatSync:
-		return s.Sync
-	}
-	return 0
 }
 
 // Summarize runs the critical-path pass: node is the last-finishing

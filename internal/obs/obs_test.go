@@ -97,7 +97,7 @@ func TestNodeLabelZeroPadsForSortOrder(t *testing.T) {
 func TestSpanBufferWraps(t *testing.T) {
 	b := obs.NewSpanBuffer(3)
 	for i := 0; i < 5; i++ {
-		b.Record(obs.Span{Thread: "t", Start: sim.Time(i), End: sim.Time(i + 1)})
+		b.Add(obs.Span{Thread: "t", Start: sim.Time(i), End: sim.Time(i + 1)})
 	}
 	if b.Total() != 5 {
 		t.Errorf("total = %d, want 5", b.Total())

@@ -74,9 +74,6 @@ func (h *Histogram) Observe(v int64) {
 // Count returns the number of observations.
 func (h *Histogram) Count() int64 { return h.count }
 
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() int64 { return h.sum }
-
 // Max returns the largest observation (0 if none).
 func (h *Histogram) Max() int64 { return h.max }
 

@@ -1,9 +1,8 @@
 package obs
 
 import (
-	"fmt"
-
 	"repro/internal/sim"
+	"repro/internal/trace"
 )
 
 // Span is one thread-state interval: the thread named Thread was paused
@@ -23,48 +22,12 @@ type Span struct {
 }
 
 // SpanBuffer is a fixed-capacity ring of thread-state spans, retaining
-// the last cap spans (mirroring trace.Buffer). Not safe for concurrent
-// use — the simulator is single-threaded by construction.
-type SpanBuffer struct {
-	ring  []Span
-	next  int
-	total int64
-}
+// the last cap spans. Its Add is shaped to be installed as a sim.Engine
+// span observer via a thin adapter in the machine layer.
+type SpanBuffer struct{ trace.Ring[Span] }
 
 // NewSpanBuffer creates a buffer holding the last cap spans.
-func NewSpanBuffer(cap int) *SpanBuffer {
-	if cap <= 0 {
-		panic(fmt.Sprintf("obs: non-positive span capacity %d", cap))
-	}
-	return &SpanBuffer{ring: make([]Span, 0, cap)}
-}
-
-// Record appends one span, evicting the oldest when full. It is shaped
-// to be installed as a sim.Engine span observer via a thin adapter in
-// the machine layer.
-func (b *SpanBuffer) Record(s Span) {
-	b.total++
-	if len(b.ring) < cap(b.ring) {
-		b.ring = append(b.ring, s)
-		return
-	}
-	b.ring[b.next] = s
-	b.next = (b.next + 1) % cap(b.ring)
-}
-
-// Total reports how many spans were recorded over the run (including
-// evicted ones).
-func (b *SpanBuffer) Total() int64 { return b.total }
+func NewSpanBuffer(cap int) *SpanBuffer { return &SpanBuffer{trace.NewRing[Span](cap)} }
 
 // Spans returns the retained spans in recording order.
-func (b *SpanBuffer) Spans() []Span {
-	if len(b.ring) < cap(b.ring) {
-		out := make([]Span, len(b.ring))
-		copy(out, b.ring)
-		return out
-	}
-	out := make([]Span, 0, cap(b.ring))
-	out = append(out, b.ring[b.next:]...)
-	out = append(out, b.ring[:b.next]...)
-	return out
-}
+func (b *SpanBuffer) Spans() []Span { return b.Items() }

@@ -195,9 +195,6 @@ func (th *Thread) SetWaitReason(reason string, arg int64) {
 	th.waitReason, th.waitArg = reason, arg
 }
 
-// WaitReason returns the current wait label set by SetWaitReason.
-func (th *Thread) WaitReason() (string, int64) { return th.waitReason, th.waitArg }
-
 // formatWaitReason renders the wait label for a diagnostic dump.
 func (th *Thread) formatWaitReason() string {
 	if th.waitReason == "" {

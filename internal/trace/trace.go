@@ -52,50 +52,54 @@ type Event struct {
 	A, B int64 // kind-specific operands (line, peer, bytes, ...)
 }
 
-// Buffer is a fixed-capacity ring of events. The zero value is unusable;
-// create one with New. Not safe for concurrent use — the simulator is
-// single-threaded by construction.
-type Buffer struct {
-	ring  []Event
+// Ring is a fixed-capacity ring retaining the last cap values added,
+// while counting every value ever added. The zero value is unusable;
+// create one with NewRing. Not safe for concurrent use — the simulator
+// is single-threaded by construction.
+type Ring[T any] struct {
+	ring  []T
 	next  int
 	total int64
 }
 
-// New creates a buffer holding the last cap events.
-func New(cap int) *Buffer {
+// NewRing creates a ring holding the last cap values.
+func NewRing[T any](cap int) Ring[T] {
 	if cap <= 0 {
 		panic(fmt.Sprintf("trace: non-positive capacity %d", cap))
 	}
-	return &Buffer{ring: make([]Event, 0, cap)}
+	return Ring[T]{ring: make([]T, 0, cap)}
 }
 
-// Add records an event, evicting the oldest when full.
-func (b *Buffer) Add(e Event) {
+// Add records a value, evicting the oldest when full.
+func (b *Ring[T]) Add(v T) {
 	b.total++
 	if len(b.ring) < cap(b.ring) {
-		b.ring = append(b.ring, e)
+		b.ring = append(b.ring, v)
 		return
 	}
-	b.ring[b.next] = e
+	b.ring[b.next] = v
 	b.next = (b.next + 1) % cap(b.ring)
 }
 
-// Total reports how many events were recorded over the run (including
+// Total reports how many values were added over the run (including
 // evicted ones).
-func (b *Buffer) Total() int64 { return b.total }
+func (b *Ring[T]) Total() int64 { return b.total }
+
+// Items returns the retained values in recording order.
+func (b *Ring[T]) Items() []T {
+	out := make([]T, 0, len(b.ring))
+	out = append(out, b.ring[b.next:]...)
+	return append(out, b.ring[:b.next]...)
+}
+
+// Buffer is the per-machine ring of protocol and message events.
+type Buffer struct{ Ring[Event] }
+
+// New creates a buffer holding the last cap events.
+func New(cap int) *Buffer { return &Buffer{NewRing[Event](cap)} }
 
 // Events returns the retained events in recording order.
-func (b *Buffer) Events() []Event {
-	if len(b.ring) < cap(b.ring) {
-		out := make([]Event, len(b.ring))
-		copy(out, b.ring)
-		return out
-	}
-	out := make([]Event, 0, cap(b.ring))
-	out = append(out, b.ring[b.next:]...)
-	out = append(out, b.ring[:b.next]...)
-	return out
-}
+func (b *Buffer) Events() []Event { return b.Items() }
 
 // Filter returns retained events matching kind (any node if node < 0).
 func (b *Buffer) Filter(kind Kind, node int) []Event {
@@ -114,10 +118,7 @@ func (b *Buffer) Dump(w io.Writer, clk sim.Clock) {
 		fmt.Fprintf(w, "%10d  node %2d  %-10s  a=%d b=%d\n",
 			clk.ToCycles(e.At), e.Node, e.Kind, e.A, e.B)
 	}
-	// Retained count is len(b.ring) only while filling; once the ring has
-	// wrapped it stays pinned at cap(b.ring), which is what drops are
-	// measured against.
-	if dropped := b.total - int64(cap(b.ring)); dropped > 0 {
+	if dropped := b.total - int64(len(b.ring)); dropped > 0 {
 		fmt.Fprintf(w, "(%d earlier events dropped)\n", dropped)
 	}
 }

@@ -151,7 +151,7 @@ func BisectionSweep(app App, mechs []Mechanism, rates []float64) ([]SweepPoint, 
 	if rates == nil {
 		rates = DefaultCrossRates
 	}
-	return core.BisectionSweep(app, core.ScaleSweep, mechs, DefaultMachine(), rates, 64)
+	return core.DefaultRunner.BisectionSweep(app, core.ScaleSweep, mechs, DefaultMachine(), rates, 64)
 }
 
 // ClockSweep reproduces the Figure 9 methodology: vary the processor
@@ -163,7 +163,7 @@ func ClockSweep(app App, mechs []Mechanism, mhzs []float64) ([]SweepPoint, error
 	if mhzs == nil {
 		mhzs = DefaultClockMHzs
 	}
-	return core.ClockSweep(app, core.ScaleSweep, mechs, DefaultMachine(), mhzs)
+	return core.DefaultRunner.ClockSweep(app, core.ScaleSweep, mechs, DefaultMachine(), mhzs)
 }
 
 // LatencySweep reproduces the Figure 10 methodology: a uniform-latency,
@@ -176,7 +176,7 @@ func LatencySweep(app App, mechs []Mechanism, oneWayCycles []int64) ([]SweepPoin
 	if oneWayCycles == nil {
 		oneWayCycles = DefaultIdealLatencies
 	}
-	return core.ContextSwitchSweep(app, core.ScaleSweep, mechs, DefaultMachine(), oneWayCycles)
+	return core.DefaultRunner.ContextSwitchSweep(app, core.ScaleSweep, mechs, DefaultMachine(), oneWayCycles)
 }
 
 // DefaultScalingNodes is the Figure S1 node-count schedule (32 to 512).
@@ -196,7 +196,7 @@ func ScalingSweep(app App, mechs []Mechanism, nodeCounts []int, scaleProblem boo
 	if nodeCounts == nil {
 		nodeCounts = DefaultScalingNodes
 	}
-	return core.NodeScalingSweep(app, core.ScaleSweep, mechs, DefaultMachine(), nodeCounts, scaleProblem)
+	return core.DefaultRunner.NodeScalingSweep(app, core.ScaleSweep, mechs, DefaultMachine(), nodeCounts, scaleProblem)
 }
 
 // OpenResultCache opens (creating if needed) an on-disk run-result cache
