@@ -52,11 +52,13 @@ profile:
 		-cpuprofile /tmp/paperbench.cpu -memprofile /tmp/paperbench.mem > /dev/null
 	@echo "profiles written: /tmp/paperbench.cpu /tmp/paperbench.mem"
 
-# Performance tracking: event-engine allocation profile, host ns per
-# dispatched event of a whole tiny em3d run, and serial vs parallel
-# sweep throughput.
+# Performance tracking: event-engine allocation profile, the host cost
+# of a remote miss, a bisection-crossing packet and a null active
+# message (Figure 3's microcosts), host ns per dispatched event of a
+# whole tiny em3d run, and serial vs parallel sweep throughput.
 bench:
 	$(GO) test -bench 'BenchmarkEngine|BenchmarkThreadHandoff' -benchmem -run xxx ./internal/sim/
+	$(GO) test -bench 'BenchmarkRemoteMiss|BenchmarkPacketBisection|BenchmarkNullActiveMessage' -benchmem -run xxx ./internal/mem/ ./internal/mesh/ ./internal/am/
 	$(GO) test -bench BenchmarkMachineRunEM3D -benchtime 10x -benchmem -run xxx ./internal/machine/
 	$(GO) test -bench 'BenchmarkClockSweep|BenchmarkContextSwitchSweepMemoized' -benchtime 3x -run xxx ./internal/core/
 

@@ -55,7 +55,9 @@ func niWords(args []int64, vals []float64) int64 {
 	return int64(len(args) + 2*len(vals))
 }
 
-// Handler is an active-message handler body.
+// Handler is an active-message handler body. c, args and vals belong to
+// the message layer and are reused once the handler returns: a handler
+// must copy whatever it keeps.
 type Handler func(c *Ctx, args []int64, vals []float64)
 
 // Params configures the message system. Costs are processor cycles.
@@ -109,16 +111,26 @@ func DefaultParams() Params {
 	}
 }
 
-// msg is one queued message at a receiving NI.
+// msg is one message from injection until its handler returns. Records
+// are pooled on the System and keep their args/vals buffers; run and
+// pkt.Deliver are bound once, when a record is first made.
 type msg struct {
-	src     int
-	handler HandlerID
-	args    []int64
-	vals    []float64
-	bulk    bool
-	bytes   int      // wire size, for stats
-	sent    sim.Time // injection timestamp at the source
+	s        *System
+	src, dst int
+	handler  HandlerID
+	args     []int64
+	vals     []float64
+	bulk     bool
+	bytes    int      // wire size, for stats
+	sent     sim.Time // injection timestamp at the source
+
+	ctx Ctx         // the handler's context
+	pkt mesh.Packet // the message on the wire; Deliver runs m.arrive
+	run func()      // m.arrive, for loopback
 }
+
+func (m *msg) arrive()                        { m.s.arrive(m.dst, m) }
+func (m *msg) deliver(sim.Time, *mesh.Packet) { m.arrive() }
 
 // ni is one node's network interface receive side.
 type ni struct {
@@ -145,6 +157,9 @@ type System struct {
 
 	// outFree[n] is node n's injection backlog horizon.
 	outFree []sim.Time
+
+	// msgs is the free list (LIFO) of message records.
+	msgs []*msg
 
 	tr *trace.Buffer // optional event trace
 
@@ -298,10 +313,11 @@ func (s *System) inject(src, dst int, h HandlerID, args []int64, vals []float64,
 		s.ev.BulkTransfers++
 		s.ev.BulkBytes += int64(s.par.ValBytes * len(vals))
 	}
+	m := s.newMsg()
+	m.src, m.dst, m.handler, m.bulk, m.sent = src, dst, h, bulk, s.eng.Now()
 	// Copy payloads: applications commonly reuse gather buffers.
-	m := &msg{src: src, handler: h, bulk: bulk, sent: s.eng.Now()}
-	m.args = append([]int64(nil), args...)
-	m.vals = append([]float64(nil), vals...)
+	m.args = append(m.args[:0], args...)
+	m.vals = append(m.vals[:0], vals...)
 
 	payload := s.wireBytes(args, vals)
 	if bulk && s.par.DMAAlign > 1 {
@@ -314,21 +330,39 @@ func (s *System) inject(src, dst int, h HandlerID, args []int64, vals []float64,
 
 	if src == dst {
 		// Loopback through the NI without entering the mesh.
-		s.eng.After(s.clk.Cycles(2), func() { s.arrive(dst, m) })
+		s.eng.After(s.clk.Cycles(2), m.run)
 		return
 	}
-	depart := s.net.Send(&mesh.Packet{
-		Src: src, Dst: dst,
-		Class:    classOf(bulk),
-		HdrBytes: hdr, PayloadBytes: payload,
-		Deliver: func(now sim.Time, p *mesh.Packet) { s.arrive(dst, m) },
-	})
+	p := &m.pkt
+	p.Src, p.Dst, p.Class = src, dst, classOf(bulk)
+	p.HdrBytes, p.PayloadBytes = hdr, payload
+	depart := s.net.Send(p)
 	if depart > s.outFree[src] {
 		s.outFree[src] = depart
 	}
 	// Track our own serialization contribution to the backlog.
 	ser := sim.Time(m.bytes) * s.net.Config().PsPerByte
 	s.outFree[src] += ser
+}
+
+// newMsg takes a message record from the free list, or makes one.
+func (s *System) newMsg() *msg {
+	if k := len(s.msgs); k > 0 {
+		m := s.msgs[k-1]
+		s.msgs[k-1] = nil
+		s.msgs = s.msgs[:k-1]
+		return m
+	}
+	m := &msg{s: s}
+	m.run = m.arrive
+	m.pkt.Deliver = m.deliver
+	return m
+}
+
+// freeMsg returns m to the free list once its handler has returned.
+func (s *System) freeMsg(m *msg) {
+	m.ctx = Ctx{}
+	s.msgs = append(s.msgs, m)
 }
 
 func classOf(bulk bool) mesh.Class {
@@ -463,7 +497,9 @@ func (s *System) drain(th *sim.Thread, node int, bd *stats.Breakdown, perMsg int
 	n := 0
 	for len(ni.q) > 0 {
 		m := ni.q[0]
-		ni.q = ni.q[1:]
+		k := copy(ni.q, ni.q[1:])
+		ni.q[k] = nil
+		ni.q = ni.q[:k]
 		n++
 		s.ev.MessagesRecv++
 		if s.mRecv != nil {
@@ -479,8 +515,9 @@ func (s *System) drain(th *sim.Thread, node int, bd *stats.Breakdown, perMsg int
 			cost += s.par.RecvPerWordCycles * niWords(m.args, m.vals)
 		}
 		s.charge(th, bd, cost)
-		ctx := &Ctx{sys: s, Node: node, Src: m.src, th: th, bd: bd}
-		s.handlers[m.handler](ctx, m.args, m.vals)
+		m.ctx = Ctx{sys: s, Node: node, Src: m.src, th: th, bd: bd}
+		s.handlers[m.handler](&m.ctx, m.args, m.vals)
+		s.freeMsg(m)
 	}
 	return n
 }

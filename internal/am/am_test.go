@@ -351,7 +351,7 @@ func TestLocalLoopback(t *testing.T) {
 func TestPayloadCopiedOnSend(t *testing.T) {
 	r := newRig()
 	var got []float64
-	h := r.sys.Register(func(c *Ctx, args []int64, vals []float64) { got = vals })
+	h := r.sys.Register(func(c *Ctx, args []int64, vals []float64) { got = append([]float64(nil), vals...) })
 	var bd, bdr stats.Breakdown
 	buf := []float64{1, 2, 3}
 	r.eng.Spawn("recv", 0, func(th *sim.Thread) { r.waitAndDrain(th, 1, &bdr, true) })

@@ -77,7 +77,10 @@ type dirEntry struct {
 	// busy serializes multi-message transactions (invalidation rounds,
 	// owner fetches). Requests arriving while busy queue FIFO.
 	busy  bool
-	queue []func()
+	queue []*step
+	// acks counts the acks the in-service invalidation or update round
+	// still awaits.
+	acks int
 
 	// modGen counts Modified-ownership grants for this line. The grant
 	// reply carries the value to the new owner's cache, and an eviction

@@ -134,7 +134,7 @@ func TestBusyDumpListsTransactions(t *testing.T) {
 	home := r.sys.lineHome(line)
 	e := r.sys.nodes[home].dir.entry(line)
 	e.busy = true
-	e.queue = append(e.queue, func() {})
+	e.queue = append(e.queue, &step{})
 	r.sys.nodes[5].pending[Addr(8)] = &txn{write: true}
 	dump := r.sys.BusyDump(0)
 	if len(dump) != 2 {

@@ -55,21 +55,11 @@ func (s *System) storeRelaxed(th *sim.Thread, node int, a Addr, v float64, bd *s
 
 	// Retire into the buffer (loads will forward from here).
 	rc.pending[a] = v
-	apply := func() {
-		// Apply the latest buffered value; a newer store to the same
-		// address may have superseded v.
-		if cur, ok := rc.pending[a]; ok {
-			s.store.Poke(a, cur)
-			delete(rc.pending, a)
-		}
-		rc.outstanding--
-		s.wakeRC(node, rc)
-	}
 
 	if t := nm.pending[line]; t != nil && t.write {
 		// Join the in-flight write transaction without blocking.
 		rc.outstanding++
-		t.onComplete = append(t.onComplete, apply)
+		s.deferRCApply(t, node, a)
 		s.chargeStoreIssue(th, bd)
 		return
 	}
@@ -117,8 +107,29 @@ func (s *System) storeRelaxed(th *sim.Thread, node int, a Addr, v float64, bd *s
 
 	rc.outstanding++
 	t := s.startTxn(node, line, true, false)
-	t.onComplete = append(t.onComplete, apply)
+	s.deferRCApply(t, node, a)
 	s.chargeStoreIssue(th, bd)
+}
+
+// deferRCApply queues the completion of node's buffered store to a on t.
+func (s *System) deferRCApply(t *txn, node int, a Addr) {
+	st := s.newStep(stepRCApply)
+	st.node, st.addr = node, a
+	t.onComplete = append(t.onComplete, st)
+}
+
+// rcApply completes node's buffered store to a once its write
+// transaction has completed.
+func (s *System) rcApply(node int, a Addr) {
+	rc := s.nodes[node].rcSt
+	// Apply the latest buffered value; a newer store to the same
+	// address may have superseded the one that started the write.
+	if cur, ok := rc.pending[a]; ok {
+		s.store.Poke(a, cur)
+		delete(rc.pending, a)
+	}
+	rc.outstanding--
+	s.wakeRC(rc)
 }
 
 // chargeStoreIssue charges the small processor-side cost of issuing a
@@ -129,15 +140,16 @@ func (s *System) chargeStoreIssue(th *sim.Thread, bd *stats.Breakdown) {
 	th.Sleep(d)
 }
 
-// wakeRC wakes all fence/full-buffer waiters to recheck their condition.
-func (s *System) wakeRC(node int, rc *rcState) {
-	ws := rc.waiters
-	rc.waiters = nil
+// wakeRC wakes all fence/full-buffer waiters to recheck their
+// condition. The woken threads run later, so the waiter list is reused.
+func (s *System) wakeRC(rc *rcState) {
 	now := s.eng.Now()
-	for _, w := range ws {
+	for _, w := range rc.waiters {
 		w.bd.Add(w.bucket, now-w.start)
 		w.th.WakeAt(now)
 	}
+	clear(rc.waiters)
+	rc.waiters = rc.waiters[:0]
 }
 
 // Fence blocks until every buffered store by node has completed. A no-op

@@ -49,6 +49,10 @@ type System struct {
 	// crit, when non-nil, receives the critical-path decomposition of
 	// miss waits and the miss/txn causal edges.
 	crit *obs.CritRecorder
+
+	// Free lists (LIFO) of protocol steps and miss transactions.
+	freeSteps []*step
+	freeTxns  []*txn
 }
 
 // SetMetrics registers the memory system's instruments on reg and begins
@@ -101,9 +105,10 @@ type txn struct {
 	granted  bool     // home has issued the reply (it is en route)
 	gen      uint64   // dirEntry.modGen of a Modified grant (0 for shared grants)
 	start    sim.Time // issue time, for the miss-latency histogram
+	extra    sim.Time // LimitLESS surcharge of an invalidation round, added to the grant
 
 	waiters    []waiter
-	onComplete []func()
+	onComplete []*step // run in order by completeTxn, before the waiters wake
 }
 
 type waiter struct {
@@ -175,24 +180,6 @@ func (s *System) atCtl(node int, fn func()) {
 	eng.At(start+s.cyc(s.par.HomeOccCycles), fn)
 }
 
-// sendCoh moves a protocol message from src to dst and runs onDeliver at
-// arrival. Local (src==dst) messages bypass the network; ideal-network
-// mode replaces transit with the fixed one-way latency.
-func (s *System) sendCoh(src, dst int, class mesh.Class, payloadBytes int, onDeliver func()) {
-	switch {
-	case src == dst:
-		s.eng.After(0, onDeliver)
-	case s.idealNet:
-		s.eng.After(s.idealOneWay, onDeliver)
-	default:
-		s.net.Send(&mesh.Packet{
-			Src: src, Dst: dst, Class: class,
-			HdrBytes: s.par.HdrBytes, PayloadBytes: payloadBytes,
-			Deliver: func(sim.Time, *mesh.Packet) { onDeliver() },
-		})
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Processor-facing operations
 // ---------------------------------------------------------------------------
@@ -207,7 +194,7 @@ func (s *System) Load(th *sim.Thread, node int, a Addr, bd *stats.Breakdown, buc
 		th.Sleep(d)
 		return v
 	}
-	s.access(th, node, a, false, nil, bd, bucket)
+	s.access(th, node, a, false, false, applyOp{}, bd, bucket)
 	return s.store.Peek(a)
 }
 
@@ -218,7 +205,7 @@ func (s *System) StoreWord(th *sim.Thread, node int, a Addr, v float64, bd *stat
 		s.storeRelaxed(th, node, a, v, bd, bucket)
 		return
 	}
-	s.access(th, node, a, true, func() { s.store.Poke(a, v) }, bd, bucket)
+	s.access(th, node, a, true, false, applyOp{store: true, v: v}, bd, bucket)
 }
 
 // RMW performs an atomic read-modify-write: fn is applied to the current
@@ -227,7 +214,7 @@ func (s *System) StoreWord(th *sim.Thread, node int, a Addr, v float64, bd *stat
 func (s *System) RMW(th *sim.Thread, node int, a Addr, fn func(float64) float64, bd *stats.Breakdown, bucket stats.TimeBucket) float64 {
 	s.Fence(th, node, bd, bucket) // atomics order buffered stores
 	var out float64
-	s.accessEx(th, node, a, true, true, func() { out = fn(s.store.Peek(a)); s.store.Poke(a, out) }, bd, bucket)
+	s.access(th, node, a, true, true, applyOp{fn: func() { out = fn(s.store.Peek(a)); s.store.Poke(a, out) }}, bd, bucket)
 	return out
 }
 
@@ -238,7 +225,7 @@ func (s *System) RMW(th *sim.Thread, node int, a Addr, fn func(float64) float64,
 // both.
 func (s *System) Update(th *sim.Thread, node int, a Addr, fn func(), bd *stats.Breakdown, bucket stats.TimeBucket) {
 	s.Fence(th, node, bd, bucket) // atomics order buffered stores
-	s.accessEx(th, node, a, true, true, fn, bd, bucket)
+	s.access(th, node, a, true, true, applyOp{fn: fn}, bd, bucket)
 }
 
 // Prefetch issues a non-binding prefetch of a's line (write requests
@@ -266,13 +253,10 @@ func (s *System) Prefetch(node int, a Addr, write bool) {
 	s.startTxn(node, line, write, true)
 }
 
-// access is the common blocking path for loads, stores and RMWs.
-func (s *System) access(th *sim.Thread, node int, a Addr, write bool, apply func(), bd *stats.Breakdown, bucket stats.TimeBucket) {
-	s.accessEx(th, node, a, write, false, apply, bd, bucket)
-}
-
-// accessEx is access with the atomicity requirement made explicit.
-func (s *System) accessEx(th *sim.Thread, node int, a Addr, write, atomic bool, apply func(), bd *stats.Breakdown, bucket stats.TimeBucket) {
+// access is the common blocking path for loads, stores and atomics:
+// it returns once node holds a's line in a sufficient state and op has
+// been applied.
+func (s *System) access(th *sim.Thread, node int, a Addr, write, atomic bool, op applyOp, bd *stats.Breakdown, bucket stats.TimeBucket) {
 	line := LineOf(a, s.par.LineWords)
 	nm := s.nodes[node]
 	for {
@@ -294,9 +278,7 @@ func (s *System) accessEx(th *sim.Thread, node int, a Addr, write, atomic bool, 
 					t.prefetch = false
 					s.ev.PrefetchUseful++
 				}
-				if apply != nil {
-					t.onComplete = append(t.onComplete, apply)
-				}
+				s.deferApply(t, a, op)
 				s.wait(t, th, bd, bucket)
 				return
 			}
@@ -311,9 +293,7 @@ func (s *System) accessEx(th *sim.Thread, node int, a Addr, write, atomic bool, 
 			d := s.cyc(s.par.HitCycles)
 			bd.Add(stats.BucketCompute, d)
 			th.Sleep(d)
-			if apply != nil {
-				apply()
-			}
+			s.apply(a, op)
 			return
 		}
 
@@ -327,9 +307,7 @@ func (s *System) accessEx(th *sim.Thread, node int, a Addr, write, atomic bool, 
 				d := s.cyc(s.par.PrefetchMoveCycles)
 				bd.Add(bucket, d)
 				th.Sleep(d)
-				if apply != nil {
-					apply()
-				}
+				s.apply(a, op)
 				return
 			}
 			// Present but in insufficient state (S, need M): promote to
@@ -345,12 +323,20 @@ func (s *System) accessEx(th *sim.Thread, node int, a Addr, write, atomic bool, 
 		}
 		t := s.startTxn(node, line, write, false)
 		t.atomic = atomic
-		if apply != nil {
-			t.onComplete = append(t.onComplete, apply)
-		}
+		s.deferApply(t, a, op)
 		s.wait(t, th, bd, bucket)
 		return
 	}
+}
+
+// deferApply queues op on word a to run when t completes.
+func (s *System) deferApply(t *txn, a Addr, op applyOp) {
+	if !op.store && op.fn == nil {
+		return
+	}
+	st := s.newStep(stepApply)
+	st.addr, st.op = a, op
+	t.onComplete = append(t.onComplete, st)
 }
 
 // wait blocks th until t completes, charging the elapsed stall.
@@ -384,23 +370,23 @@ func (s *System) startTxn(node int, line Addr, write, prefetch bool) *txn {
 		}
 		s.tr.Add(trace.Event{At: eng.Now(), Node: node, Kind: trace.KMissStart, A: int64(line), B: w})
 	}
-	t := &txn{line: line, write: write, node: node, prefetch: prefetch, start: eng.Now()}
+	t := s.newTxn()
+	t.line, t.write, t.node, t.prefetch, t.start = line, write, node, prefetch, eng.Now()
 	s.nodes[node].pending[line] = t
 	if s.mTxnTotal != nil {
 		s.mTxnTotal.Inc()
 		s.mTxnOut[node].SetMax(int64(len(s.nodes[node].pending)))
 	}
 	home := s.lineHome(line)
+	st := s.newStep(stepDispatch)
+	st.t, st.home, st.line = t, home, line
 	if node == home {
 		// Local request: no network issue cost; straight to the controller.
-		s.atCtl(home, func() { s.homeDispatch(home, node, line, write, t) })
+		s.atCtl(home, st.run)
 		return t
 	}
-	eng.After(s.cyc(s.par.ReqCycles), func() {
-		s.sendCoh(node, home, mesh.ClassCohReq, 0, func() {
-			s.atCtl(home, func() { s.homeDispatch(home, node, line, write, t) })
-		})
-	})
+	st.kind = stepReqSend
+	eng.After(s.cyc(s.par.ReqCycles), st.run)
 	return t
 }
 
@@ -409,10 +395,12 @@ func (s *System) startTxn(node int, line Addr, write, prefetch bool) *txn {
 // service (busy), later arrivals park in a strict FIFO queue. release
 // pops exactly one queued request per completion, so no requester can
 // starve behind faster re-requesters.
-func (s *System) homeDispatch(home, req int, line Addr, write bool, t *txn) {
-	e := s.nodes[home].dir.entry(line)
+func (s *System) homeDispatch(st *step) {
+	home := st.home
+	e := s.nodes[home].dir.entry(st.line)
 	if e.busy {
-		e.queue = append(e.queue, func() { s.homeProcess(home, req, line, write, t, e) })
+		st.kind, st.e = stepProcess, e
+		e.queue = append(e.queue, st)
 		return
 	}
 	e.busy = true
@@ -421,62 +409,41 @@ func (s *System) homeDispatch(home, req int, line Addr, write bool, t *txn) {
 		nm.busyDir++
 		s.mDirBusy[home].SetMax(int64(nm.busyDir))
 	}
-	s.homeProcess(home, req, line, write, t, e)
+	s.homeProcess(st, e)
 }
 
-// homeProcess services one request; e.busy is held by the caller and
+// homeProcess services the request st; e.busy is held by the caller and
 // released via s.release at every terminal point.
-func (s *System) homeProcess(home, req int, line Addr, write bool, t *txn, e *dirEntry) {
+func (s *System) homeProcess(st *step, e *dirEntry) {
+	home, t := st.home, st.t
+	req, line, write := t.node, t.line, t.write
 	if e.state == dirModified && e.owner != req {
 		if e.owner == home {
 			// Dirty in the home's own cache: the controller pulls the
 			// line from its processor's cache inline — no network, no
 			// extra controller passes (Alewife's 2-party dirty case).
-			serve := func() {
-				s.ev.RemoteMissesDty++
-				if write {
-					s.ev.Invalidations++
-					s.nodes[home].cache.invalidate(line)
-					e.state = dirModified
-					e.owner = req
-					e.sharers = sharerSet{}
-					e.sharers.add(req)
-					e.modGen++
-					t.gen = e.modGen
-				} else {
-					s.nodes[home].cache.downgrade(line)
-					e.state = dirShared
-					e.sharers = sharerSet{}
-					e.sharers.add(home)
-					e.sharers.add(req)
-					e.owner = -1
-				}
-				s.grant(home, req, line, write, t, 0)
-				s.release(home, e)
-			}
 			// If the home's own write grant is still in flight (ownership
 			// recorded, fill pending), defer until the fill completes:
 			// invalidating the cache now would miss the in-flight fill and
 			// leave two Modified copies (mirrors ownerFetch's deferral).
 			if ot := s.nodes[home].pending[line]; ot != nil && ot.write && ot.granted {
-				ot.onComplete = append(ot.onComplete, serve)
+				st.kind, st.e = stepServeHome, e
+				ot.onComplete = append(ot.onComplete, st)
 				return
 			}
-			serve()
+			s.serveHomeDirty(st, e)
 			return
 		}
 		// Dirty at a third party: fetch (and for writes, invalidate) the
 		// owner's copy.
 		s.ev.RemoteMissesDty++
-		owner := e.owner
 		class := mesh.ClassCohReq
 		if write {
 			class = mesh.ClassCohInval
 			s.ev.Invalidations++
 		}
-		s.sendCoh(home, owner, class, 0, func() {
-			s.atCtl(owner, func() { s.ownerFetch(owner, home, req, line, write, t) })
-		})
+		st.node = e.owner
+		s.sendToCtl(st, home, e.owner, class, 0, stepFetch)
 		return
 	}
 
@@ -497,8 +464,9 @@ func (s *System) homeProcess(home, req int, line Addr, write bool, t *txn, e *di
 		}
 		e.state = dirShared
 		e.sharers.add(req)
-		s.grant(home, req, line, false, t, extra)
+		s.grant(home, false, t, extra)
 		s.release(home, e)
+		s.freeStep(st)
 		return
 	}
 
@@ -513,47 +481,58 @@ func (s *System) homeProcess(home, req int, line Addr, write bool, t *txn, e *di
 		e.sharers.add(req)
 		e.modGen++
 		t.gen = e.modGen
-		s.grant(home, req, line, true, t, 0)
+		s.grant(home, true, t, 0)
 		s.release(home, e)
+		s.freeStep(st)
 		return
 	}
 	s.countMiss(home, req, false)
 	if s.par.Protocol == ProtocolUpdate && !t.atomic {
-		s.updateRound(home, req, line, t, e, shs)
+		s.updateRound(st, e, shs)
 		return
 	}
-	extra := sim.Time(0)
 	if shs.count() >= s.par.HWPointers {
 		s.ev.LimitLESSTraps++
 		// Software walks the overflow directory and invalidates each
 		// sharer: a fixed trap cost plus a per-sharer term.
-		extra = s.cyc(s.par.LimitLESSCycles + s.par.LimitLESSPerSharerCycles*int64(shs.count()))
+		t.extra = s.cyc(s.par.LimitLESSCycles + s.par.LimitLESSPerSharerCycles*int64(shs.count()))
 	}
-	acks := shs.count()
+	e.acks = shs.count()
 	shs.forEach(func(sh int) {
 		s.ev.Invalidations++
-		s.sendCoh(home, sh, mesh.ClassCohInval, 0, func() {
-			s.atCtl(sh, func() {
-				s.invalidateAt(sh, line, func() {
-					s.sendCoh(sh, home, mesh.ClassCohInval, 0, func() {
-						s.atCtl(home, func() {
-							acks--
-							if acks == 0 {
-								e.state = dirModified
-								e.owner = req
-								e.sharers = sharerSet{}
-								e.sharers.add(req)
-								e.modGen++
-								t.gen = e.modGen
-								s.grant(home, req, line, true, t, extra)
-								s.release(home, e)
-							}
-						})
-					})
-				})
-			})
-		})
+		iv := s.newStep(stepInval)
+		iv.t, iv.e, iv.home, iv.node, iv.line = t, e, home, sh, line
+		s.sendToCtl(iv, home, sh, mesh.ClassCohInval, 0, stepInval)
 	})
+	s.freeStep(st)
+}
+
+// serveHomeDirty serves the request st from the copy dirty in the home's
+// own cache.
+func (s *System) serveHomeDirty(st *step, e *dirEntry) {
+	home, t := st.home, st.t
+	req, line := t.node, t.line
+	s.ev.RemoteMissesDty++
+	if t.write {
+		s.ev.Invalidations++
+		s.nodes[home].cache.invalidate(line)
+		e.state = dirModified
+		e.owner = req
+		e.sharers = sharerSet{}
+		e.sharers.add(req)
+		e.modGen++
+		t.gen = e.modGen
+	} else {
+		s.nodes[home].cache.downgrade(line)
+		e.state = dirShared
+		e.sharers = sharerSet{}
+		e.sharers.add(home)
+		e.sharers.add(req)
+		e.owner = -1
+	}
+	s.grant(home, t.write, t, 0)
+	s.release(home, e)
+	s.freeStep(st)
 }
 
 // countMiss classifies a (non-dirty-path) miss as local or remote-clean.
@@ -568,157 +547,179 @@ func (s *System) countMiss(home, req int, dirty bool) {
 	}
 }
 
-// invalidateAt removes a line from a node's cache, deferring if a granted
-// read reply is in flight (the 8-byte invalidation can overtake the
-// 24-byte data reply in the network; acking first would install a stale
-// shared copy). Deferral is safe only for granted read transactions,
-// which complete independently of the invalidation round.
-func (s *System) invalidateAt(node int, line Addr, ack func()) {
+// invalidateAt removes st's line from the sharer st.node's cache and
+// acks, deferring if a granted read reply is in flight (the 8-byte
+// invalidation can overtake the 24-byte data reply in the network;
+// acking first would install a stale shared copy). Deferral is safe only
+// for granted read transactions, which complete independently of the
+// invalidation round.
+func (s *System) invalidateAt(st *step) {
+	node, line := st.node, st.line
 	nm := s.nodes[node]
 	if t := nm.pending[line]; t != nil && !t.write && t.granted {
-		t.onComplete = append(t.onComplete, func() {
-			nm.cache.invalidate(line)
-			ack()
-		})
+		st.kind = stepInvalLate
+		t.onComplete = append(t.onComplete, st)
 		return
 	}
 	if s.tr != nil {
 		s.tr.Add(trace.Event{At: s.eng.Now(), Node: node, Kind: trace.KInval, A: int64(line)})
 	}
 	nm.cache.invalidate(line)
-	ack()
+	s.sendToCtl(st, node, st.home, mesh.ClassCohInval, 0, stepInvalAck)
 }
 
-// ownerFetch runs at the current owner when the home requests its dirty
-// copy. If the owner's own write grant is still in flight, the fetch
-// defers until the fill completes (ownership must be observed before it
-// can be taken away).
-func (s *System) ownerFetch(owner, home, req int, line Addr, write bool, t *txn) {
-	nm := s.nodes[owner]
-	if ot := nm.pending[line]; ot != nil && ot.write && ot.granted {
-		ot.onComplete = append(ot.onComplete, func() {
-			s.ownerFetchNow(owner, home, req, line, write, t)
-		})
+// invalAck counts one invalidation ack at home; the round's last ack
+// hands the requester ownership.
+func (s *System) invalAck(st *step) {
+	e, t := st.e, st.t
+	e.acks--
+	if e.acks == 0 {
+		e.state = dirModified
+		e.owner = t.node
+		e.sharers = sharerSet{}
+		e.sharers.add(t.node)
+		e.modGen++
+		t.gen = e.modGen
+		s.grant(st.home, true, t, t.extra)
+		s.release(st.home, e)
+	}
+	s.freeStep(st)
+}
+
+// ownerFetch runs at the current owner st.node when the home requests
+// its dirty copy. If the owner's own write grant is still in flight, the
+// fetch defers until the fill completes (ownership must be observed
+// before it can be taken away).
+func (s *System) ownerFetch(st *step) {
+	if ot := s.nodes[st.node].pending[st.line]; ot != nil && ot.write && ot.granted {
+		st.kind = stepFetchNow
+		ot.onComplete = append(ot.onComplete, st)
 		return
 	}
-	s.ownerFetchNow(owner, home, req, line, write, t)
+	s.ownerFetchNow(st)
 }
 
-// ownerFetchNow surrenders the owner's dirty copy immediately.
-func (s *System) ownerFetchNow(owner, home, req int, line Addr, write bool, t *txn) {
-	nm := s.nodes[owner]
-	if write {
-		nm.cache.invalidate(line)
+// ownerFetchNow surrenders the owner's dirty copy immediately and
+// returns the line to home.
+func (s *System) ownerFetchNow(st *step) {
+	nm := s.nodes[st.node]
+	if st.t.write {
+		nm.cache.invalidate(st.line)
 	} else {
-		nm.cache.downgrade(line)
+		nm.cache.downgrade(st.line)
 	}
-	// Owner returns the line to home.
-	s.sendCoh(owner, home, mesh.ClassCohData, s.par.LineBytes, func() {
-		s.atCtl(home, func() {
-			e := s.nodes[home].dir.entry(line)
-			if write {
-				e.state = dirModified
-				e.owner = req
-				e.sharers = sharerSet{}
-				e.sharers.add(req)
-				e.modGen++
-				t.gen = e.modGen
-			} else {
-				e.state = dirShared
-				e.sharers = sharerSet{}
-				e.sharers.add(owner)
-				e.sharers.add(req)
-				e.owner = -1
-			}
-			s.grant(home, req, line, write, t, 0)
-			s.release(home, e)
-		})
-	})
+	s.sendToCtl(st, st.node, st.home, mesh.ClassCohData, s.par.LineBytes, stepFetchDone)
+}
+
+// fetchDone records the new line state once the owner's data is back at
+// home, then grants and releases.
+func (s *System) fetchDone(st *step) {
+	home, owner, t := st.home, st.node, st.t
+	e := s.nodes[home].dir.entry(st.line)
+	if t.write {
+		e.state = dirModified
+		e.owner = t.node
+		e.sharers = sharerSet{}
+		e.sharers.add(t.node)
+		e.modGen++
+		t.gen = e.modGen
+	} else {
+		e.state = dirShared
+		e.sharers = sharerSet{}
+		e.sharers.add(owner)
+		e.sharers.add(t.node)
+		e.owner = -1
+	}
+	s.grant(home, t.write, t, 0)
+	s.release(home, e)
+	s.freeStep(st)
 }
 
 // updateRound implements the write-through update protocol: the written
 // data is pushed to every sharer (which keeps its copy), acks return, and
 // the writer is granted a SHARED copy — its next store to the line pays
 // another round trip, and its readers never refetch.
-func (s *System) updateRound(home, req int, line Addr, t *txn, e *dirEntry, shs sharerSet) {
+func (s *System) updateRound(st *step, e *dirEntry, shs sharerSet) {
+	home, t := st.home, st.t
 	e.state = dirShared
-	e.sharers.add(req)
+	e.sharers.add(t.node)
 	if shs.count() == 0 {
-		s.grantState(home, req, line, lineShared, t, 0)
+		s.grantState(home, lineShared, t, 0)
 		s.release(home, e)
+		s.freeStep(st)
 		return
 	}
 	e.busy = true
-	acks := shs.count()
+	e.acks = shs.count()
 	shs.forEach(func(sh int) {
 		// Update carries the new data: header + one word.
-		s.sendCoh(home, sh, mesh.ClassCohData, 8, func() {
-			s.atCtl(sh, func() {
-				s.sendCoh(sh, home, mesh.ClassCohAck, 0, func() {
-					s.atCtl(home, func() {
-						acks--
-						if acks == 0 {
-							s.grantState(home, req, line, lineShared, t, 0)
-							s.release(home, e)
-						}
-					})
-				})
-			})
-		})
+		u := s.newStep(stepUpdate)
+		u.t, u.e, u.home, u.node, u.line = t, e, home, sh, t.line
+		s.sendToCtl(u, home, sh, mesh.ClassCohData, 8, stepUpdate)
 	})
+	s.freeStep(st)
+}
+
+// updateAck counts one update ack at home; the round's last ack grants
+// the writer its shared copy.
+func (s *System) updateAck(st *step) {
+	e, t := st.e, st.t
+	e.acks--
+	if e.acks == 0 {
+		s.grantState(st.home, lineShared, t, 0)
+		s.release(st.home, e)
+	}
+	s.freeStep(st)
 }
 
 // grant sends the data reply to the requestor after DRAM access (plus any
 // LimitLESS software penalty) and marks the transaction granted.
-func (s *System) grant(home, req int, line Addr, write bool, t *txn, extra sim.Time) {
+func (s *System) grant(home int, write bool, t *txn, extra sim.Time) {
 	st := lineShared
 	if write {
 		st = lineModified
 	}
-	s.grantState(home, req, line, st, t, extra)
+	s.grantState(home, st, t, extra)
 }
 
 // grantState is grant with an explicit final cache state for the
 // requestor (the update protocol grants writes as shared).
-func (s *System) grantState(home, req int, line Addr, st lineState, t *txn, extra sim.Time) {
+func (s *System) grantState(home int, st lineState, t *txn, extra sim.Time) {
 	t.granted = true
 	if s.crit != nil {
 		// Directory txn begin→grant edge, recorded at the home (the grant
 		// side); the requester-side view is the later miss→fill edge.
 		s.crit.Edge(obs.CritEdge{Kind: "txn", Src: t.node, Dst: home, Start: t.start, End: s.eng.Now()})
 	}
-	delay := s.cyc(s.par.DRAMCycles) + extra
-	if req == home {
+	g := s.newStep(stepComplete)
+	g.t, g.home, g.state = t, home, st
+	if t.node == home {
 		// Local fill: no reply message; LocalMissCycles covers the DRAM
 		// path (calibrated to the paper's ~11-cycle local miss).
 		rest := s.par.LocalMissCycles - s.par.HomeOccCycles
 		if rest < 0 {
 			rest = 0
 		}
-		s.eng.After(s.cyc(rest)+extra, func() {
-			s.completeTxn(req, line, st, t)
-		})
+		s.eng.After(s.cyc(rest)+extra, g.run)
 		return
 	}
-	// The DRAM delay elapses at home; the reply's delivery callback (and
-	// so the fill timer) runs at the requestor.
-	s.eng.After(delay, func() {
-		s.sendCoh(home, req, mesh.ClassCohData, s.par.LineBytes, func() {
-			s.eng.After(s.cyc(s.par.FillCycles), func() {
-				s.completeTxn(req, line, st, t)
-			})
-		})
-	})
+	// The DRAM delay elapses at home; the reply's delivery (and so the
+	// fill timer) runs at the requestor.
+	g.kind = stepReply
+	s.eng.After(s.cyc(s.par.DRAMCycles)+extra, g.run)
 }
 
 // release finishes one request's service: it hands the entry to the
 // oldest queued request (keeping busy held across the handoff so fresh
-// arrivals cannot jump the queue) or marks the entry idle.
+// arrivals cannot jump the queue) or marks the entry idle. The popped
+// slot is cleared and the queue keeps its backing array.
 func (s *System) release(home int, e *dirEntry) {
 	if len(e.queue) > 0 {
-		f := e.queue[0]
-		e.queue = e.queue[1:]
-		s.atCtl(home, f)
+		next := e.queue[0]
+		n := copy(e.queue, e.queue[1:])
+		e.queue[n] = nil
+		e.queue = e.queue[:n]
+		s.atCtl(home, next.run)
 		return
 	}
 	e.busy = false
@@ -727,10 +728,11 @@ func (s *System) release(home int, e *dirEntry) {
 	}
 }
 
-// completeTxn installs the line, runs deferred operations, and wakes
-// waiting threads.
-func (s *System) completeTxn(node int, line Addr, st lineState, t *txn) {
+// completeTxn installs the line, runs deferred operations, wakes waiting
+// threads and frees t.
+func (s *System) completeTxn(t *txn, st lineState) {
 	eng := s.eng
+	node, line := t.node, t.line
 	nm := s.nodes[node]
 	if t.prefetch {
 		evicted, dirty, evictedGen := nm.cache.pfFill(line, st, t.gen)
@@ -758,8 +760,8 @@ func (s *System) completeTxn(node int, line Addr, st lineState, t *txn) {
 	if s.tr != nil {
 		s.tr.Add(trace.Event{At: eng.Now(), Node: node, Kind: trace.KMissEnd, A: int64(line)})
 	}
-	for _, f := range t.onComplete {
-		f()
+	for _, d := range t.onComplete {
+		d.exec()
 	}
 	now := eng.Now()
 	if s.crit != nil {
@@ -769,6 +771,7 @@ func (s *System) completeTxn(node int, line Addr, st lineState, t *txn) {
 		w.bd.Add(w.bucket, now-w.start)
 		w.th.WakeAt(now)
 	}
+	s.freeTxn(t)
 }
 
 // critComplete decomposes a completed transaction's waits for the
@@ -821,28 +824,31 @@ func (s *System) critComplete(node int, line Addr, t *txn, now sim.Time) {
 func (s *System) writeback(node int, line Addr, gen uint64) {
 	s.ev.WriteBacks++
 	home := s.lineHome(line)
-	s.sendCoh(node, home, mesh.ClassCohData, s.par.LineBytes, func() {
-		s.atCtl(home, func() {
-			e := s.nodes[home].dir.entry(line)
-			// A fast re-request (8-byte header) can overtake the slower
-			// line-sized write-back packet, so by the time the write-back
-			// arrives the evictor may have re-acquired ownership. Clearing
-			// the directory then would let a second node be granted
-			// Modified concurrently; the write-back is stale exactly when
-			// its generation is not the one the directory last granted.
-			// (If a re-acquisition is merely in flight, clearing is
-			// harmless: the request then finds the line uncached, exactly
-			// as if it had been sent after the write-back landed. The
-			// generation check keeps this decision home-local: it reads no
-			// evictor-side state.)
-			if !e.busy && e.state == dirModified && e.owner == node &&
-				e.modGen == gen {
-				e.state = dirUncached
-				e.sharers = sharerSet{}
-				e.owner = -1
-			}
-		})
-	})
+	w := s.newStep(stepWriteback)
+	w.home, w.node, w.line, w.gen = home, node, line, gen
+	s.sendToCtl(w, node, home, mesh.ClassCohData, s.par.LineBytes, stepWriteback)
+}
+
+// writebackAt applies the write-back st at its home controller.
+func (s *System) writebackAt(st *step) {
+	e := s.nodes[st.home].dir.entry(st.line)
+	// A fast re-request (8-byte header) can overtake the slower
+	// line-sized write-back packet, so by the time the write-back
+	// arrives the evictor may have re-acquired ownership. Clearing
+	// the directory then would let a second node be granted
+	// Modified concurrently; the write-back is stale exactly when
+	// its generation is not the one the directory last granted.
+	// (If a re-acquisition is merely in flight, clearing is
+	// harmless: the request then finds the line uncached, exactly
+	// as if it had been sent after the write-back landed. The
+	// generation check keeps this decision home-local: it reads no
+	// evictor-side state.)
+	if !e.busy && e.state == dirModified && e.owner == st.node &&
+		e.modGen == st.gen {
+		e.state = dirUncached
+		e.sharers = sharerSet{}
+		e.owner = -1
+	}
 }
 
 // CacheHas reports (for tests) whether node's cache or prefetch buffer

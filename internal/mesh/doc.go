@@ -15,4 +15,10 @@
 // nonlinear congestion of the paper's "Congestion Dominated" region.
 // Link reservations are made in send order (a standard fast cut-through
 // approximation: one delivery event per packet rather than one per hop).
+//
+// Ownership. A packet passed to Send belongs to its sender, which may
+// reuse it once the packet has been delivered: the network never touches
+// it after Deliver returns, and Deliver must not keep p. The record that
+// carries a packet through delivery and back-pressure retries is pooled
+// by the Network, as are the cross-traffic packets it generates itself.
 package mesh

@@ -60,7 +60,8 @@ type Packet struct {
 	PayloadBytes int
 
 	// Deliver is invoked when the endpoint accepts the packet. It runs in
-	// engine context and must not block. Nil packets are absorbed.
+	// engine context, must not block and must not keep p. A nil Deliver
+	// absorbs the packet.
 	Deliver func(now sim.Time, p *Packet)
 
 	// Payload carries model-level contents (protocol ops, AM args). The
@@ -150,6 +151,9 @@ type Network struct {
 	retries     int64
 
 	stopX bool // stops cross-traffic generators
+
+	// flights is the free list (LIFO) of in-flight records.
+	flights []*flight
 
 	// fault, when non-nil, perturbs link reservations and deliveries
 	// (deterministic fault injection; see internal/fault).
@@ -335,8 +339,40 @@ func abs(v int) int {
 // packet is routed X-then-Y; its Deliver callback (if any) runs when the
 // destination endpoint accepts it. The returned time is when the packet's
 // head actually enters its first link — under congestion this lags Now,
-// which senders use to model finite output-queue depth.
+// which senders use to model finite output-queue depth. p stays the
+// sender's: the network reads it until Deliver returns and never after.
 func (n *Network) Send(p *Packet) sim.Time {
+	f := n.newFlight()
+	f.p = p
+	return n.send(f)
+}
+
+// flight carries one packet from its send through delivery, including
+// back-pressure retries. Records are pooled on the Network; x holds the
+// packet of a cross-traffic message, which the network itself owns.
+type flight struct {
+	n   *Network
+	p   *Packet
+	run func() // f.deliver, bound once
+	x   Packet
+}
+
+// newFlight takes a flight from the free list, or makes one.
+func (n *Network) newFlight() *flight {
+	if k := len(n.flights); k > 0 {
+		f := n.flights[k-1]
+		n.flights[k-1] = nil
+		n.flights = n.flights[:k-1]
+		return f
+	}
+	f := &flight{n: n}
+	f.run = f.deliver
+	return f
+}
+
+// send routes f's packet and schedules its delivery.
+func (n *Network) send(f *flight) sim.Time {
+	p := f.p
 	now := n.eng.Now()
 	n.packetsSent++
 	n.account(p)
@@ -362,7 +398,7 @@ func (n *Network) Send(p *Packet) sim.Time {
 			wk.depart, wk.first = wk.head-n.cfg.HopLatency, false
 		}
 	}
-	n.finish(&wk)
+	n.finish(&wk, f)
 	return wk.depart
 }
 
@@ -441,7 +477,7 @@ func (n *Network) nextLink(wk *walk) (d, idx int, ok bool) {
 
 // finish completes an arrived walk: bisection accounting, tail timing,
 // and delivery scheduling.
-func (n *Network) finish(wk *walk) {
+func (n *Network) finish(wk *walk, f *flight) {
 	p := wk.p
 	if wk.cross {
 		if p.Class == ClassXTraffic {
@@ -459,7 +495,7 @@ func (n *Network) finish(wk *walk) {
 	if n.noise != nil {
 		tail += n.noise.PacketDelay(p.Src, p.Dst)
 	}
-	n.eng.At(tail, func() { n.deliver(p) })
+	n.eng.At(tail, f.run)
 }
 
 // yFirstFreer reports whether the first Y-direction link out of (x,y) is
@@ -541,22 +577,25 @@ func (n *Network) linkEnds(d, idx int) (a, b int) {
 	}
 }
 
-func (n *Network) deliver(p *Packet) {
-	if p.Class == ClassXTraffic {
-		// Cross-traffic exits the mesh at the edge I/O nodes without
-		// disturbing the compute node's network interface.
-		return
+// deliver offers the flight's packet to its endpoint, rescheduling on
+// back-pressure, and frees the flight once the packet is taken.
+func (f *flight) deliver() {
+	n, p := f.n, f.p
+	// Cross-traffic exits the mesh at the edge I/O nodes without
+	// disturbing the compute node's network interface.
+	if p.Class != ClassXTraffic {
+		ok, retryAt := n.endpoints[p.Dst].TryDeliver(n.eng.Now(), p)
+		if !ok {
+			n.retries++
+			if retryAt <= n.eng.Now() {
+				retryAt = n.eng.Now() + n.cfg.HopLatency
+			}
+			n.eng.At(retryAt, f.run)
+			return
+		}
 	}
-	ep := n.endpoints[p.Dst]
-	ok, retryAt := ep.TryDeliver(n.eng.Now(), p)
-	if ok {
-		return
-	}
-	n.retries++
-	if retryAt <= n.eng.Now() {
-		retryAt = n.eng.Now() + n.cfg.HopLatency
-	}
-	n.eng.At(retryAt, func() { n.deliver(p) })
+	f.p = nil
+	n.flights = append(n.flights, f)
 }
 
 func (n *Network) account(p *Packet) {
@@ -647,10 +686,13 @@ func (n *Network) scheduleXGen(src, dst, size int, period, offset sim.Time) {
 		if n.stopX {
 			return
 		}
-		n.Send(&Packet{
+		f := n.newFlight()
+		f.x = Packet{
 			Src: src, Dst: dst, Class: ClassXTraffic,
 			HdrBytes: 8, PayloadBytes: size - 8,
-		})
+		}
+		f.p = &f.x
+		n.send(f)
 		n.eng.After(period, tick)
 	}
 	n.eng.After(offset, tick)
