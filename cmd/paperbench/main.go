@@ -31,10 +31,9 @@ func main() {
 	appFlag := flag.String("app", "", "restrict sweep figures to one app (default: all four)")
 	scaleName := flag.String("scale", "", "workload scale override (tiny, sweep, default, full)")
 	csvDir := flag.String("csv", "", "also write machine-readable CSV files into this directory")
-	modelCmp := flag.Bool("model", false, "print the analytical model vs simulator comparison")
 	predictFlag := flag.Bool("predict", false, "solve the sweep figures (8, 9, 10) from one instrumented run per "+
 		"mechanism via the dependency-graph model instead of simulating every point, and print the "+
-		"predicted-vs-simulated validation matrix with -fig 4; with -model, adds the graph-vs-closed-form comparison")
+		"predicted-vs-simulated validation matrix with -fig 4")
 	prune := flag.Bool("prune", false, "with -predict: simulate only the base, low-confidence, and "+
 		"near-crossover points of each sweep instead of validating the whole grid")
 	predictErr := flag.Float64("predicterr", 0, "with -predict: exit nonzero if the worst "+
@@ -263,6 +262,8 @@ func main() {
 		writeCSV("fig3_miss_penalties.csv", func(w *os.File) error {
 			return figures.WriteMissPenaltiesCSV(w, mp)
 		})
+		fmt.Fprintln(out)
+		figures.PrintLogP(out, cfg)
 		sep()
 	}
 	var fig4rows []figures.Fig4Row
@@ -437,27 +438,6 @@ func main() {
 			})
 			fmt.Fprintln(out)
 		}
-		sep()
-	}
-	if *modelCmp || *all {
-		ranSomething = true
-		for _, app := range appsToRun {
-			if _, err := figures.PrintModelComparison(out, app, scOr(core.ScaleSweep), cfg,
-				[]int64{15, 50, 100, 200}); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Fprintln(out)
-			if *predictFlag {
-				graphErr, _, err := figures.PrintGraphVsClosedForm(out, app, scOr(core.ScaleSweep), cfg,
-					[]int64{15, 50, 100, 200})
-				check(err)
-				if graphErr.MaxPct > predMax {
-					predMax = graphErr.MaxPct
-				}
-				fmt.Fprintln(out)
-			}
-		}
-		figures.PrintLogP(out, cfg)
 		sep()
 	}
 	if *all || *table == 1 || *table == 2 {

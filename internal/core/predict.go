@@ -79,7 +79,7 @@ func (r *Runner) instrumentedRun(rc RunConfig) (RunResult, error) {
 
 // bisectionCrossFrac is the fraction of injected bytes assumed to cross
 // the machine's middle cut under dimension-order routing on a uniform
-// traffic pattern — the same convention model.Fit uses.
+// traffic pattern.
 const bisectionCrossFrac = 0.5
 
 // predictedSweep is the common engine: instrument one base run per

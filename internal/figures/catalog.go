@@ -15,13 +15,13 @@ type CatalogEntry struct {
 
 // Catalog lists every figure and table in selector order. paperbench
 // -list prints it; keep entries in sync with the dispatch in
-// cmd/paperbench/main.go (TestCatalogMatchesDispatch enforces the
-// figure keys).
+// cmd/paperbench/main.go (TestCatalogMatchesDispatch there enforces the
+// flag names and the -fig and -table keys).
 func Catalog() []CatalogEntry {
 	return []CatalogEntry{
 		{"-fig 1", "bandwidth region classification (derived from the Figure 8 sweep)"},
 		{"-fig 2", "latency region classification (derived from the Figure 10 sweep)"},
-		{"-fig 3", "cost table: shared-memory miss penalties, measured vs paper"},
+		{"-fig 3", "cost table: shared-memory miss penalties, measured vs paper, plus LogP parameters"},
 		{"-fig 4", "runtime breakdowns per app and mechanism"},
 		{"-fig 5", "communication volume breakdowns per app and mechanism"},
 		{"-fig 6", "cross-traffic topology description (I/O nodes on the mesh edges)"},
@@ -33,7 +33,6 @@ func Catalog() []CatalogEntry {
 		{"-fig S2", "mechanism sensitivity to stochastic noise and single-delay propagation (beyond the paper)"},
 		{"-table 1", "machine configurations (printed by cmd/machines)"},
 		{"-table 2", "relative machine parameters (printed by cmd/machines -relative)"},
-		{"-model", "analytical model vs simulator comparison, plus LogP parameters"},
 		{"-predict", "dependency-graph sweep predictions for figs 4/8/9/10 from one instrumented run per mechanism (-prune simulates only low-confidence and near-crossover points)"},
 	}
 }

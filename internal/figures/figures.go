@@ -146,6 +146,24 @@ func PrintFig3(w io.Writer, cfg machine.Config) core.MissPenalties {
 	return mp
 }
 
+// PrintLogP measures and prints the machine's LogP parameters — the
+// related-work framing (Martin et al.) the paper contrasts itself with.
+// L, o and g are microcosts of the same kind as Figure 3's null active
+// message and one-way network latency, so paperbench prints them there.
+func PrintLogP(w io.Writer, cfg machine.Config) core.LogP {
+	lp := core.MeasureLogP(cfg)
+	fmt.Fprintln(w, "LogP parameters of the simulated machine (cycles):")
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+	fmt.Fprintf(tw, "L (latency)\t%.1f\n", lp.L)
+	fmt.Fprintf(tw, "o (overhead)\t%.1f\n", lp.O)
+	fmt.Fprintf(tw, "g (gap)\t%.1f\n", lp.G)
+	fmt.Fprintf(tw, "P (processors)\t%d\n", lp.P)
+	tw.Flush()
+	fmt.Fprintln(w, "overhead-dominated (o, g >> L): latency-insensitive message passing,")
+	fmt.Fprintln(w, "as the paper's EM3D results and Martin et al.'s LogP analysis agree.")
+	return lp
+}
+
 // PrintSweep renders a sweep as one series per mechanism (the paper's
 // line plots), with runtime in cycles.
 func PrintSweep(w io.Writer, title, xlabel string, mechs []apps.Mechanism, pts []core.SweepPoint) {

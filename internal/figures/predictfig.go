@@ -11,7 +11,6 @@ import (
 	"repro/internal/apps"
 	"repro/internal/core"
 	"repro/internal/machine"
-	"repro/internal/model"
 	"repro/internal/predict"
 )
 
@@ -256,58 +255,4 @@ func PredFig10(w io.Writer, app core.AppName, sc core.Scale, cfg machine.Config,
 	PrintPredictedSweep(w, fmt.Sprintf("Figure 10 (%s, predicted): execution cycles vs emulated uniform latency", app),
 		"one-way latency (cycles)", apps.Mechanisms, ps, core.ToleranceGrowth)
 	return ps, nil
-}
-
-// PrintGraphVsClosedForm puts the two models side by side against
-// simulation on the Figure 10 latency axis for shared memory: the
-// fitted Section 2 closed form (which names the region) and the
-// dependency-graph replay (which should win on magnitude). Returns the
-// error statistics of each.
-func PrintGraphVsClosedForm(w io.Writer, app core.AppName, sc core.Scale, cfg machine.Config, lats []int64) (graphErr, closedErr predict.ErrorStats, err error) {
-	opt := core.PredictOptions{} // full validation: every point simulated
-	ps, err := core.DefaultRunner.PredictedContextSwitchSweep(app, sc,
-		[]apps.Mechanism{apps.SM}, cfg, lats, opt)
-	if err != nil {
-		return graphErr, closedErr, err
-	}
-	smRun, err := core.Run(core.RunConfig{App: app, Mech: apps.SM, Scale: sc,
-		Machine: cfg, SkipValidate: true})
-	if err != nil {
-		return graphErr, closedErr, err
-	}
-	mpRun, err := core.Run(core.RunConfig{App: app, Mech: apps.MPPoll, Scale: sc,
-		Machine: cfg, SkipValidate: true})
-	if err != nil {
-		return graphErr, closedErr, err
-	}
-	appP, machP, err := model.Fit(smRun, mpRun, cfg)
-	if err != nil {
-		return graphErr, closedErr, err
-	}
-
-	fmt.Fprintf(w, "Graph model vs closed form (%s, shared memory, latency sweep)\n", app)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "one-way cycles\tsimulated\tgraph\tgraph err%\tclosed form\tclosed err%\tregion")
-	for i, lat := range lats {
-		sim, ok := ps.Points[i].Sim[apps.SM]
-		if !ok || sim.Cycles == 0 {
-			continue
-		}
-		graph := ps.Points[i].Pred[apps.SM]
-		mp := machP
-		mp.OneWayLatency = float64(lat)
-		closed := model.Predict(appP, mp, model.SharedMemory)
-		graphErr.Add(float64(graph.Cycles), float64(sim.Cycles))
-		closedErr.Add(closed.Cycles, float64(sim.Cycles))
-		fmt.Fprintf(tw, "%d\t%d\t%d\t%.1f\t%.0f\t%.1f\t%s\n",
-			lat, sim.Cycles, graph.Cycles,
-			100*math.Abs(float64(graph.Cycles)-float64(sim.Cycles))/float64(sim.Cycles),
-			closed.Cycles,
-			100*math.Abs(closed.Cycles-float64(sim.Cycles))/float64(sim.Cycles),
-			closed.Region)
-	}
-	tw.Flush()
-	fmt.Fprintf(w, "graph model: worst %.1f%% mean %.1f%%;  closed form: worst %.1f%% mean %.1f%%\n",
-		graphErr.MaxPct, graphErr.MeanPct(), closedErr.MaxPct, closedErr.MeanPct())
-	return graphErr, closedErr, nil
 }

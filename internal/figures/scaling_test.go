@@ -74,13 +74,13 @@ func TestWriteScalingCSVMissingCells(t *testing.T) {
 }
 
 // TestCatalogListsEveryFigure: the -list catalog names each of the ten
-// paper figures, the S1 scaling experiment, both tables, and the model
-// comparison, and PrintCatalog renders it.
+// paper figures, the S1 and S2 experiments, both tables, and the
+// predicted sweeps, and PrintCatalog renders it.
 func TestCatalogListsEveryFigure(t *testing.T) {
 	want := []string{
 		"-fig 1", "-fig 2", "-fig 3", "-fig 4", "-fig 5", "-fig 6",
 		"-fig 7", "-fig 8", "-fig 9", "-fig 10", "-fig S1", "-fig S2",
-		"-table 1", "-table 2", "-model", "-predict",
+		"-table 1", "-table 2", "-predict",
 	}
 	cat := Catalog()
 	if len(cat) != len(want) {

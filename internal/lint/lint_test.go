@@ -53,7 +53,7 @@ func TestFixtures(t *testing.T) {
 		{name: "fingerprint-missing-field", dir: "fingerprint_missing_field", pkgPath: "repro/internal/core", checks: []*Check{FingerprintCheck}},
 		{name: "fingerprint-reference-fields", dir: "fingerprint_reference", pkgPath: "repro/internal/core", checks: []*Check{FingerprintCheck}},
 		{name: "fingerprint-absent", dir: "fingerprint_absent", pkgPath: "repro/internal/core", checks: []*Check{FingerprintCheck}},
-		{name: "fingerprint-absent-elsewhere", dir: "fingerprint_absent", pkgPath: "repro/internal/model", checks: []*Check{FingerprintCheck}, ignoreWants: true},
+		{name: "fingerprint-absent-elsewhere", dir: "fingerprint_absent", pkgPath: "repro/internal/predict", checks: []*Check{FingerprintCheck}, ignoreWants: true},
 		{name: "intmath", dir: "intmath", pkgPath: "repro/internal/sim/fixture", checks: []*Check{IntMathCheck}},
 		// Float math is fine outside the machine model: apps compute on
 		// simulated data and figures post-process results.

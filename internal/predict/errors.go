@@ -3,9 +3,8 @@ package predict
 import "math"
 
 // ErrorStats accumulates predicted-vs-measured relative errors — the
-// shared currency of model validation, used both for the dependency-graph
-// model here and for the closed-form model (internal/model) the figures
-// layer compares it against.
+// currency in which the dependency-graph model is validated against
+// simulation.
 type ErrorStats struct {
 	// N counts the (predicted, measured) pairs accumulated.
 	N int
